@@ -7,7 +7,7 @@ VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 COMMIT  ?= $(shell git rev-parse HEAD 2>/dev/null || echo unknown)
 LDFLAGS  = -X abs/internal/telemetry.version=$(VERSION) -X abs/internal/telemetry.commit=$(COMMIT)
 
-.PHONY: build test vet race check ci bench bench-dense obs-demo obs-smoke backend-smoke diversity-smoke serve apicheck cluster-demo
+.PHONY: build test vet race check ci bench bench-dense obs-demo serve-smoke serve apicheck cluster-demo
 
 build:
 	$(GO) build -ldflags '$(LDFLAGS)' ./...
@@ -74,26 +74,15 @@ cluster-demo:
 	echo "--- waiting for the run to finish ---" && \
 	wait
 
-# Observability smoke: boots abs-serve, runs one job, and asserts the
-# operator surface end to end — build info and latency histograms on
-# /metrics, a parseable causal trace at /v1/jobs/{id}/trace. CI runs
-# this in the short lane.
-obs-smoke:
-	./scripts/obs-smoke.sh
-
-# Solver-backend smoke: boots abs-serve with the race meta-backend,
-# asserts /v1/backends, a race-pinned job, the 400 on unknown names and
-# the per-backend ingest counters on /metrics. CI runs this in the
-# short lane.
-backend-smoke:
-	./scripts/backend-smoke.sh
-
-# Diversity smoke: boots abs-serve with the race backend under a DABS
-# spec and asserts the abs_alloc_units gauges move (the adaptive
-# allocator reassigns units) and the pool occupies >= 2 distance
-# buckets. CI runs this in the short lane.
-diversity-smoke:
-	./scripts/diversity-smoke.sh
+# abs-serve smoke: boots one abs-serve (stamped build identity, race
+# backend, diversity radius 2) and asserts the operator surface end to
+# end — /v1/backends and the 400 on unknown names, a race-pinned job,
+# build info, histograms and per-backend counters on /metrics, a
+# parseable causal trace at /v1/jobs/{id}/trace, and >= 2 occupied
+# pool distance buckets while a job runs. CI runs this in the short
+# lane.
+serve-smoke:
+	./scripts/serve-smoke.sh
 
 obs-demo:
 	$(GO) build -o /tmp/abs-solve ./cmd/abs-solve

@@ -54,13 +54,12 @@ type (
 	// BackendInfo describes one registered solver backend.
 	BackendInfo = backend.Info
 	// BackendStat is the per-backend tally in Result.BackendStats:
-	// publications, admissions, best energy and the final allocator
-	// unit split.
+	// admissions, improvements and the backend's unit count.
 	BackendStat = core.BackendStat
-	// DiversitySpec bundles the DABS control knobs (arXiv 2207.03069)
-	// accepted by Options.Diversity: the pool's Hamming admission
-	// radius, distance-bucket shape, and the race backend's adaptive
-	// allocator floor/window/interval. The zero value means defaults.
+	// DiversitySpec bundles the DABS pool-admission knobs (arXiv
+	// 2207.03069) accepted by Options.Diversity: the pool's Hamming
+	// admission radius and distance-bucket shape. The zero value means
+	// defaults.
 	DiversitySpec = diversity.Spec
 
 	// Progress is the periodic run snapshot passed to Options.Progress
@@ -151,21 +150,15 @@ func ParseBackend(s string) (Backend, error) { return core.ParseBackend(s) }
 // descriptions, sorted by name (the body of GET /v1/backends).
 func Backends() []BackendInfo { return core.Backends() }
 
-// ParseDiversitySpec parses a "radius=8,floor=0.2"-style key=value
+// ParseDiversitySpec parses a "radius=8,buckets=12"-style key=value
 // string into a DiversitySpec (the decoder behind every -diversity CLI
 // flag, the serve job field and the cluster grant). The empty string
-// is the defaults; the literal "off" is StaticDiversitySpec.
+// and the literal "off" are the defaults; unknown keys are errors.
 func ParseDiversitySpec(s string) (DiversitySpec, error) { return diversity.ParseSpec(s) }
 
-// DefaultDiversitySpec returns the adaptive defaults: pool admission
-// off (radius 0 is opt-in), race allocator adaptive with a 10%
-// exploration floor over a 3s window, rebalancing every second.
+// DefaultDiversitySpec returns the defaults: pool admission off
+// (radius 0 is opt-in), 8 distance buckets of at least one entry each.
 func DefaultDiversitySpec() DiversitySpec { return diversity.DefaultSpec() }
-
-// StaticDiversitySpec returns the "off" spec — no admission policy and
-// a frozen allocator, bit-for-bit the pre-DABS behaviour (elite pool,
-// static race split).
-func StaticDiversitySpec() DiversitySpec { return diversity.StaticSpec() }
 
 // NewProblem returns an all-zero n-variable QUBO instance; fill it with
 // SetWeight/AddWeight.

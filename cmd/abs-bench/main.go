@@ -117,7 +117,7 @@ func main() {
 		dratio   = flag.Float64("assert-dense-ratio", 0, "with -dense-report: fail unless batched/scalar flips ratio is at least this on every instance (0 disables; relaxed to no-regression without SIMD)")
 		backendR = flag.String("backend-report", "", "write a per-backend time-to-target comparison JSON to this file")
 		backend  = backendflag.Register("auto means straight; applies to every benchmark solve except -backend-report, which sweeps all backends")
-		divFlag  = diversityflag.Register("applies to every benchmark solve; -backend-report additionally sweeps a race-static row at floor=1.0")
+		divFlag  = diversityflag.Register("applies to every benchmark solve")
 	)
 	flag.Parse()
 	bench.SetDefaultBackend(backend.Backend())

@@ -9,7 +9,7 @@
 //	abs-worker -coordinator http://host:8080 [-id worker-a]
 //	           [-devices 1] [-sms 2] [-exchange 200ms] [-publish-k 8]
 //	           [-backend auto|straight|sb|tabu|race]
-//	           [-diversity radius=8,floor=0.1|off]
+//	           [-diversity radius=8|off]
 //	           [-addr :9090] [-metrics-addr :9091] [-trace-out run.jsonl]
 //
 // The worker needs nothing but the coordinator's address — the

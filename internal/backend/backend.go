@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"abs/internal/bitvec"
 	"abs/internal/qubo"
@@ -62,15 +61,6 @@ type Config struct {
 	Adaptive bool
 	// AdaptivePatience is the stagnant-round threshold; zero means 8.
 	AdaptivePatience int
-
-	// Alloc tunes the adaptive portfolio allocator of meta-backends
-	// (race): the exploration floor, rate window and rebalance period
-	// of diversity.Spec. Plain backends ignore it. The zero value
-	// means diversity.DefaultSpec's allocator settings; AllocFloor >=
-	// 1.0 pins the static g mod k split.
-	AllocFloor    float64
-	AllocWindow   time.Duration
-	AllocInterval time.Duration
 }
 
 // validate checks the fields every factory relies on.
@@ -106,8 +96,9 @@ type Backend interface {
 	// Name is the registered name ("straight", "sb", ...).
 	Name() string
 	// UnitName reports which algorithm unit g runs — Name() for plain
-	// backends, the assigned member's name for meta-backends like
-	// race. The engine uses it to attribute per-backend telemetry.
+	// backends, the member's name for meta-backends like race. The
+	// answer is fixed for the run; the engine uses it to attribute
+	// per-backend telemetry and to report the unit split.
 	UnitName(g int) string
 	// NewUnit builds a fresh search unit for global slot g.
 	NewUnit(g int) Unit

@@ -146,6 +146,50 @@ func TestRaceSplitsUnits(t *testing.T) {
 	}
 }
 
+// TestRaceUnitMatchesMemberPerSlot pins race's fixed split at the unit
+// level: for every slot g, race's unit walks exactly the trajectory of
+// the unit member g mod 3 builds for the same slot — same flips, same
+// surfaced vectors and energies — under one shared target sequence.
+func TestRaceUnitMatchesMemberPerSlot(t *testing.T) {
+	cfg, _ := testConfig(t, 40)
+	race, err := New("race", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := []string{"straight", "sb", "tabu"}
+	r := rng.New(11)
+	targets := make([]*bitvec.Vector, 4)
+	for i := range targets {
+		targets[i] = bitvec.Random(40, r)
+	}
+	for g := 0; g < cfg.Units; g++ {
+		member, err := New(members[g%3], cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := race.UnitName(g); got != member.Name() {
+			t.Fatalf("race unit %d named %q, want %q", g, got, member.Name())
+		}
+		ru, mu := race.NewUnit(g), member.NewUnit(g)
+		for ti, target := range targets {
+			if rf, mf := ru.Retarget(target, never), mu.Retarget(target, never); rf != mf {
+				t.Fatalf("unit %d target %d: race retarget %d flips, %s %d", g, ti, rf, member.Name(), mf)
+			}
+			for round := 0; round < 5; round++ {
+				rf, rx, re, rok := ru.Round(never)
+				mf, mx, me, mok := mu.Round(never)
+				if rf != mf || re != me || rok != mok || (rok && !rx.Equal(mx)) {
+					t.Fatalf("unit %d target %d round %d: race (%d flips, E=%d, ok=%v) != %s (%d flips, E=%d, ok=%v)",
+						g, ti, round, rf, re, rok, member.Name(), mf, me, mok)
+				}
+			}
+			if ru.Window() != mu.Window() {
+				t.Fatalf("unit %d: race window %d, %s %d", g, ru.Window(), member.Name(), mu.Window())
+			}
+		}
+	}
+}
+
 func TestWindowFor(t *testing.T) {
 	for g := 0; g < 100; g++ {
 		l := WindowFor(g, 100, 4, 256, 512)

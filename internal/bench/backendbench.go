@@ -9,15 +9,8 @@ import (
 
 	"abs/internal/backend"
 	"abs/internal/core"
-	"abs/internal/diversity"
 	"abs/internal/qubo"
 )
-
-// raceStaticName is the pseudo-backend row the sweep adds next to the
-// registered backends: the race backend with its adaptive allocator
-// pinned static (floor 1.0 — the pre-DABS g%k split), the baseline the
-// adaptive "race" row is judged against.
-const raceStaticName = "race-static"
 
 // BackendReport is the per-backend time-to-target comparison written
 // by `abs-bench -backend-report FILE` (BENCH_pr8.json in the repo):
@@ -55,7 +48,8 @@ type BackendInstance struct {
 	Winner string `json:"winner"`
 }
 
-// BackendRun is one backend's measurement on one instance.
+// BackendRun is one backend's measurement on one instance. Every field
+// comes from the same target-capped solve.
 type BackendRun struct {
 	Backend     string  `json:"backend"`
 	WallSeconds float64 `json:"wall_seconds"`
@@ -68,37 +62,29 @@ type BackendRun struct {
 	Reached    bool    `json:"reached"`
 }
 
-// measureBackend runs one instance under one pinned backend: a rate
-// run under the scale's budget, then time-to-target against the shared
-// calibrated target.
+// measureBackend runs one instance under one pinned backend: a single
+// solve that stops at the shared calibrated target or at the scale's
+// run cap, whichever comes first. Wall, flips and best energy are that
+// run's; so are reached and time-to-target.
 func measureBackend(p *qubo.Problem, name string, target int64, s Scale) (BackendRun, error) {
 	opt := solveOptions()
-	if name == raceStaticName {
-		opt.Backend = core.BackendRace
-		opt.Diversity = diversity.StaticSpec()
-	} else {
-		opt.Backend = core.Backend(name)
-	}
-	run := BackendRun{Backend: name}
-
-	res, err := MeasureRate(p, opt, s.RateBudget)
+	opt.Backend = core.Backend(name)
+	opt.TargetEnergy = &target
+	opt.MaxDuration = s.RunCap
+	opt.MaxFlips = 0
+	res, err := core.Solve(p, opt)
 	if err != nil {
-		return run, err
+		return BackendRun{Backend: name}, err
 	}
-	run.WallSeconds = res.Elapsed.Seconds()
-	run.Flips = res.Flips
-	run.BestEnergy = res.BestEnergy
-
-	tts, err := MeasureTTS(TTSSpec{
-		Name: p.Name(), Bits: p.N(), Problem: p,
-		TargetEnergy: target, Repeats: 1, Cap: s.RunCap, Opt: opt,
-	})
-	if err != nil {
-		return run, err
+	run := BackendRun{
+		Backend:     name,
+		WallSeconds: res.Elapsed.Seconds(),
+		Flips:       res.Flips,
+		BestEnergy:  res.BestEnergy,
+		Reached:     res.ReachedTarget,
 	}
-	if tts.Successes > 0 {
-		run.Reached = true
-		run.TTTSeconds = tts.MeanSec
+	if run.Reached {
+		run.TTTSeconds = run.WallSeconds
 	}
 	return run, nil
 }
@@ -127,7 +113,7 @@ func BuildBackendReport(s Scale) (*BackendReport, error) {
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
 		NumCPU:    runtime.NumCPU(),
-		Backends:  append(backend.Names(), raceStaticName),
+		Backends:  backend.Names(),
 	}
 	problems, families, err := sparseInstances(s)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"abs/internal/backend"
 	"abs/internal/core"
 	"abs/internal/qubo"
 	"abs/internal/racedetect"
@@ -102,6 +103,43 @@ func TestMeasureTTSMissReportsZeroSuccess(t *testing.T) {
 	}
 	if res.MeanSec != 0 {
 		t.Error("mean time for zero successes should be 0")
+	}
+}
+
+// TestMeasureBackendRowIsOneRun pins the backend report's row
+// contract: every field comes from one target-capped solve, so a row
+// that says reached has a best energy at or below the target and a
+// time-to-target equal to its wall time, and a row that missed has a
+// zero time-to-target.
+func TestMeasureBackendRowIsOneRun(t *testing.T) {
+	p := smallProblem(24, 4)
+	lo, _ := p.EnergyBound()
+	for _, name := range backend.Names() {
+		for _, tc := range []struct {
+			target int64
+			cap    time.Duration
+			reach  bool
+		}{
+			{-1, 5 * time.Second, true},             // trivially reachable on a dense random instance
+			{lo - 1, 100 * time.Millisecond, false}, // below the energy lower bound
+		} {
+			run, err := measureBackend(p, name, tc.target, Scale{RunCap: tc.cap})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if run.Backend != name || run.Flips == 0 || run.WallSeconds <= 0 {
+				t.Errorf("%s target %d: incomplete row %+v", name, tc.target, run)
+			}
+			if run.Reached != tc.reach {
+				t.Errorf("%s target %d: reached %v, want %v (best %d)", name, tc.target, run.Reached, tc.reach, run.BestEnergy)
+			}
+			if run.Reached && (run.BestEnergy > tc.target || run.TTTSeconds != run.WallSeconds) {
+				t.Errorf("%s: reached row %+v has best above target %d or ttt != wall", name, run, tc.target)
+			}
+			if !run.Reached && run.TTTSeconds != 0 {
+				t.Errorf("%s: missed row %+v reports a time-to-target", name, run)
+			}
+		}
 	}
 }
 

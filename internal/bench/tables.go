@@ -27,9 +27,8 @@ var defaultBackend core.Backend
 func SetDefaultBackend(b core.Backend) { defaultBackend = b }
 
 // defaultDiversity is the DABS tuning every benchmark run uses; the
-// zero Spec normalizes to diversity.DefaultSpec (admission off,
-// adaptive allocator for the race backend). Set once from the
-// -diversity flag before any benchmark runs.
+// zero Spec normalizes to diversity.DefaultSpec (admission off). Set
+// once from the -diversity flag before any benchmark runs.
 var defaultDiversity diversity.Spec
 
 // SetDefaultDiversity pins the DABS tuning for all subsequent

@@ -544,9 +544,9 @@ func TestBackendGrantOmittedOnAuto(t *testing.T) {
 
 func TestDiversityGrantPropagatesToWorkerEngine(t *testing.T) {
 	p := testProblem(48, 8)
-	c := newCoord(t, p, CoordinatorConfig{Diversity: "radius=4,floor=0.2"})
+	c := newCoord(t, p, CoordinatorConfig{Diversity: "radius=4,buckets=6"})
 	reg := mustRegister(t, c, "w-grant")
-	if reg.Diversity != "radius=4,floor=0.2" {
+	if reg.Diversity != "radius=4,buckets=6" {
 		t.Fatalf("registration grant diversity = %q", reg.Diversity)
 	}
 	// The coordinator's own authoritative pool runs the granted
@@ -564,12 +564,12 @@ func TestDiversityGrantPropagatesToWorkerEngine(t *testing.T) {
 		t.Fatalf("buildEngine: %v", err)
 	}
 	defer w.engine.Finish(true)
-	if got := w.engine.Options().Diversity; got.Radius != 4 || got.Floor != 0.2 {
-		t.Errorf("auto worker diversity = %+v, want radius 4 floor 0.2 from the grant", got)
+	if got := w.engine.Options().Diversity; got.Radius != 4 || got.Buckets != 6 {
+		t.Errorf("auto worker diversity = %+v, want radius 4 buckets 6 from the grant", got)
 	}
 
 	// An explicit local spec wins over the grant — including the "off"
-	// opt-out, which pins the static pre-DABS behaviour.
+	// opt-out, which pins the plain elite pool (radius 0).
 	w2, err := NewWorker(WorkerConfig{Transport: NewLocalTransport(c), WorkerID: "w-local", Diversity: "off"})
 	if err != nil {
 		t.Fatal(err)
@@ -578,8 +578,8 @@ func TestDiversityGrantPropagatesToWorkerEngine(t *testing.T) {
 		t.Fatalf("buildEngine: %v", err)
 	}
 	defer w2.engine.Finish(true)
-	if got := w2.engine.Options().Diversity; got.Radius != 0 || got.Floor < 1.0 {
-		t.Errorf("locally opted-out worker diversity = %+v, want the static spec", got)
+	if got := w2.engine.Options().Diversity; got.Radius != 0 {
+		t.Errorf("locally opted-out worker diversity = %+v, want radius 0", got)
 	}
 
 	// A corrupt grant is a hard (permanent) registration error.

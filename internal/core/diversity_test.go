@@ -46,24 +46,62 @@ func TestSolveRejectsBadDiversitySpec(t *testing.T) {
 	}
 }
 
-// TestRaceStaticFloorKeepsStaticSplit is the equivalence guarantee at
-// the Solve level: floor 1.0 (the "off" spec) pins the race backend's
-// unit assignment to the g mod k split for the whole run, so the
-// reported per-member unit counts are exactly the static ones.
+// TestRaceStaticFloorKeepsStaticSplit pins race's unit split at the
+// Solve level: under default options every block runs member g mod 3
+// for the whole run, and both the per-block and the per-backend reports
+// say so. The split is static; no spec moves units.
 func TestRaceStaticFloorKeepsStaticSplit(t *testing.T) {
 	p := randomProblem(48, 93)
 	o := tinyOptions()
 	o.Backend = BackendRace
-	o.Diversity = diversity.StaticSpec()
 	o.MaxDuration = 200 * time.Millisecond
 	res, err := Solve(p, o)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkRaceSplit(t, res)
+}
+
+// TestRaceAdaptiveReportsUnits runs race with the radius admission
+// policy on: the policy reshapes the pool, never the unit split, so the
+// report still covers every block with the fixed g mod 3 split and no
+// member is left without units.
+func TestRaceAdaptiveReportsUnits(t *testing.T) {
+	p := randomProblem(48, 94)
+	o := tinyOptions()
+	o.Backend = BackendRace
+	o.Diversity = diversity.Spec{Radius: 2}
+	o.MaxDuration = 200 * time.Millisecond
+	res, err := Solve(p, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRaceSplit(t, res)
+	if res.Blocks >= 3 {
+		for _, name := range []string{"straight", "sb", "tabu"} {
+			if st := res.BackendStats[name]; st.Units < 1 {
+				t.Errorf("member %q has no units: %+v", name, res.BackendStats)
+			}
+		}
+	}
+}
+
+// checkRaceSplit asserts that res reports race's fixed split: block g
+// ran member g mod 3, and the per-member unit counts match and sum to
+// the block count.
+func checkRaceSplit(t *testing.T, res *Result) {
+	t.Helper()
 	members := []string{"straight", "sb", "tabu"}
+	if len(res.BlockStats) != res.Blocks {
+		t.Fatalf("%d block stats for %d blocks", len(res.BlockStats), res.Blocks)
+	}
 	want := make(map[string]int)
-	for g := 0; g < res.Blocks; g++ {
-		want[members[g%len(members)]]++
+	for g, bs := range res.BlockStats {
+		name := members[g%len(members)]
+		want[name]++
+		if bs.Backend != name {
+			t.Errorf("block %d ran %q, want %q", g, bs.Backend, name)
+		}
 	}
 	total := 0
 	for _, name := range members {
@@ -72,48 +110,12 @@ func TestRaceStaticFloorKeepsStaticSplit(t *testing.T) {
 			t.Fatalf("BackendStats missing member %q: %+v", name, res.BackendStats)
 		}
 		if st.Units != want[name] {
-			t.Errorf("member %q has %d units, want static %d", name, st.Units, want[name])
+			t.Errorf("member %q has %d units, want %d", name, st.Units, want[name])
 		}
 		total += st.Units
 	}
 	if total != res.Blocks {
 		t.Errorf("unit counts sum %d != %d blocks", total, res.Blocks)
-	}
-}
-
-// TestRaceAdaptiveReportsUnits checks the adaptive path end to end:
-// a race run under the default (adaptive) spec reports a full
-// per-member unit split that still covers every block, whatever the
-// allocator decided during the run.
-func TestRaceAdaptiveReportsUnits(t *testing.T) {
-	p := randomProblem(48, 94)
-	o := tinyOptions()
-	o.Backend = BackendRace
-	o.Diversity = diversity.Spec{Floor: 0.1, Window: time.Second, Interval: 50 * time.Millisecond}
-	o.MaxDuration = 400 * time.Millisecond
-	res, err := Solve(p, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for name, st := range res.BackendStats {
-		if st.Units < 0 {
-			t.Errorf("member %q has negative units %d", name, st.Units)
-		}
-		total += st.Units
-	}
-	if total != res.Blocks {
-		t.Errorf("adaptive unit counts sum %d != %d blocks (stats %+v)", total, res.Blocks, res.BackendStats)
-	}
-	// Every member keeps its exploration floor: with floor 0.1 over 3
-	// members no count may hit zero unless there are fewer blocks than
-	// members.
-	if res.Blocks >= 3 {
-		for _, name := range []string{"straight", "sb", "tabu"} {
-			if st := res.BackendStats[name]; st.Units < 1 {
-				t.Errorf("member %q starved below the exploration floor: %d units", name, st.Units)
-			}
-		}
 	}
 }
 

@@ -54,8 +54,7 @@ type Engine struct {
 
 	storage          Storage
 	backendName      Backend         // resolved, never BackendAuto
-	be               backend.Backend // live per-slot attribution via UnitName
-	alloc            *diversity.Allocator
+	be               backend.Backend // per-slot attribution via UnitName
 	divPolicy        *diversity.Policy
 	evaluatedPerFlip float64
 	occ              gpusim.Occupancy
@@ -83,7 +82,7 @@ type Engine struct {
 	bestKnown atomic.Bool
 	// Occupied-distance-bucket count as of the last progress deadline
 	// (pool reads are pump-only; this cache makes the figure available
-	// to any goroutine, e.g. the serve-plane gauge refresher).
+	// to any goroutine, e.g. the serve plane's scrape hook).
 	bucketsOcc atomic.Int64
 
 	mu       sync.Mutex
@@ -170,19 +169,9 @@ func NewEngine(p *qubo.Problem, opt Options) (*Engine, error) {
 		WindowMax:        opt.WindowMax,
 		Adaptive:         opt.Adaptive,
 		AdaptivePatience: opt.AdaptivePatience,
-		AllocFloor:       opt.Diversity.Floor,
-		AllocWindow:      opt.Diversity.Window,
-		AllocInterval:    opt.Diversity.Interval,
 	})
 	if err != nil {
 		return nil, err
-	}
-	// Meta-backends that split units across a portfolio expose their
-	// allocator; the engine feeds it improvement records from the
-	// ingest path and drives its rebalance clock from the pump loop.
-	var alloc *diversity.Allocator
-	if ab, ok := be.(interface{ Allocator() *diversity.Allocator }); ok {
-		alloc = ab.Allocator()
 	}
 
 	bufCap := opt.SolutionBufferCap
@@ -204,11 +193,6 @@ func NewEngine(p *qubo.Problem, opt Options) (*Engine, error) {
 		solutions.SetObserver(metrics)
 		targets.SetObserver(metrics)
 		host.Pool().SetObserver(metrics)
-		if alloc != nil {
-			// Publish the starting split so the abs_alloc_units gauges
-			// are correct before the first rebalance.
-			metrics.allocUnits(alloc.UnitCounts())
-		}
 	}
 
 	// Warm starts join the pool with unknown energy (the host never
@@ -241,7 +225,6 @@ func NewEngine(p *qubo.Problem, opt Options) (*Engine, error) {
 		storage:          storage,
 		backendName:      backendName,
 		be:               be,
-		alloc:            alloc,
 		divPolicy:        divPolicy,
 		evaluatedPerFlip: evaluatedPerFlip,
 		occ:              occ,
@@ -315,32 +298,18 @@ func (e *Engine) ingestRecord(slot int, energy int64) {
 	}
 	e.backendTally[name] = t
 	e.metrics.backendIngest(name, improved)
-	if e.alloc != nil {
-		// The adaptive allocator's rate signal: the same admission
-		// stream the abs_backend_* counters measure.
-		e.alloc.Record(name, improved, time.Now())
-	}
 }
 
-// BackendUnits returns the live per-backend unit counts: the
-// allocator's current split under a portfolio meta-backend, or every
-// unit on the single resolved backend otherwise. Safe from any
-// goroutine (GET /v1/backends reads it from running jobs).
+// BackendUnits returns the per-backend unit counts: the fixed g mod 3
+// split under the race meta-backend, every unit on the single resolved
+// backend otherwise. Safe from any goroutine (GET /v1/backends reads
+// it from running jobs).
 func (e *Engine) BackendUnits() map[string]int {
-	if e.alloc != nil {
-		return e.alloc.UnitCounts()
+	units := make(map[string]int)
+	for g := 0; g < e.totalSlots; g++ {
+		units[e.be.UnitName(g)]++
 	}
-	return map[string]int{string(e.backendName): e.totalSlots}
-}
-
-// AllocMoves returns the total unit reassignments the adaptive
-// allocator has performed so far (0 without one). Safe from any
-// goroutine.
-func (e *Engine) AllocMoves() uint64 {
-	if e.alloc == nil {
-		return 0
-	}
-	return e.alloc.Moves()
+	return units
 }
 
 // OccupiedDistanceBuckets returns how many Hamming-distance buckets of
@@ -419,7 +388,7 @@ func (e *Engine) Detach(dev *gpusim.Device) bool {
 // Respawn supersedes the incarnation of global slot g with a fresh one,
 // reporting false when g's device is not currently attached (the
 // supervisor keeps probing detached slots; that is harmless). fn is the
-// block program, as in gpusim.Run.Respawn.
+// block program, as in gpusim.DeviceRun.Respawn.
 func (e *Engine) Respawn(g int, fn gpusim.BlockFunc) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -498,18 +467,6 @@ func (e *Engine) Pump(now time.Time) {
 	if best, ok := e.host.Pool().Best(); ok {
 		e.bestE.Store(best.E)
 		e.bestKnown.Store(true)
-	}
-	// DABS allocator tick: when the rebalance interval has elapsed,
-	// move units toward the members currently paying off and surface
-	// every move as a trace event; the abs_alloc_units gauges follow
-	// the new split.
-	if e.alloc != nil {
-		if moves := e.alloc.MaybeRebalance(now); len(moves) > 0 {
-			for _, mv := range moves {
-				e.metrics.allocReassign(mv)
-			}
-			e.metrics.allocUnits(e.alloc.UnitCounts())
-		}
 	}
 	if e.sup != nil {
 		e.sup.scan(now)
@@ -650,10 +607,8 @@ func (e *Engine) Finish(cancelled bool) *Result {
 	for name, t := range e.backendTally {
 		res.BackendStats[name] = t
 	}
-	// Final unit split: under the adaptive allocator this is where the
-	// controller left the fleet; entries are created even for members
-	// that never had a publication admitted, so the split is always
-	// visible.
+	// Unit split: entries are created even for members that never had
+	// a publication admitted, so the split is always visible.
 	for name, units := range e.BackendUnits() {
 		t := res.BackendStats[name]
 		t.Units = units

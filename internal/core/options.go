@@ -124,14 +124,11 @@ type Options struct {
 	// with no registered factory with ErrUnknownBackend.
 	Backend Backend
 
-	// Diversity tunes the DABS control loops (arXiv 2207.03069; see
-	// internal/diversity): Radius/Buckets/MinPerBucket configure the
-	// Hamming-distance pool admission policy (Radius 0 — the default —
-	// keeps the paper's plain elite pool), and Floor/Window/Interval
-	// tune the race backend's adaptive unit allocator (Floor >= 1.0
-	// pins the static g mod 3 split). The zero value means
-	// diversity.DefaultSpec: admission off, allocator adaptive with a
-	// 10% exploration floor.
+	// Diversity tunes the DABS pool admission policy (arXiv
+	// 2207.03069; see internal/diversity): Radius/Buckets/MinPerBucket
+	// configure the Hamming-distance admission rule. Radius 0 — the
+	// default — keeps the paper's plain elite pool; the zero value means
+	// diversity.DefaultSpec.
 	Diversity diversity.Spec
 
 	// Warm starts: vectors inserted into the solution pool before the

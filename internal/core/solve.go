@@ -106,10 +106,8 @@ type BackendStat struct {
 	// the run's best energy when they arrived.
 	Inserted     uint64
 	Improvements uint64
-	// Units is the number of search units assigned to the backend when
-	// the run finished — the adaptive allocator's final split under
-	// BackendRace, every unit otherwise. It mirrors the live
-	// abs_alloc_units gauges.
+	// Units is the number of search units the backend ran — the fixed
+	// g mod 3 split under BackendRace, every unit otherwise.
 	Units int
 }
 

@@ -25,10 +25,10 @@ import (
 //     repeatedly burying work in a dead card.
 //
 // slotRunner is the supervisor's view of whatever owns the block
-// goroutines: a whole-cluster gpusim.Run (the classic single-job
-// launch) or an Engine whose devices attach and detach while the run is
-// live. Respawn reports false when the slot cannot currently be
-// respawned (stopped run, or the slot's device is detached).
+// goroutines: an Engine whose devices attach and detach while the run
+// is live, or a single gpusim.DeviceRun. Respawn reports false when the
+// slot cannot currently be respawned (stopped run, or the slot's device
+// is detached).
 type slotRunner interface {
 	Respawn(g int, fn gpusim.BlockFunc) bool
 	Halt(g int)

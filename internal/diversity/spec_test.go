@@ -3,7 +3,6 @@ package diversity
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestParseSpecEmptyIsDefault(t *testing.T) {
@@ -21,44 +20,38 @@ func TestParseSpecOffIsStatic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s != StaticSpec() {
-		t.Fatalf("ParseSpec(\"off\") = %+v, want StaticSpec %+v", s, StaticSpec())
-	}
-	if s.Floor < 1.0 {
-		t.Fatalf("static floor %v should freeze the allocator", s.Floor)
+	if s != DefaultSpec() {
+		t.Fatalf("ParseSpec(\"off\") = %+v, want DefaultSpec %+v", s, DefaultSpec())
 	}
 	if s.Radius != 0 {
-		t.Fatalf("static radius %d should disable the admission policy", s.Radius)
+		t.Fatalf("off radius %d should disable the admission policy", s.Radius)
 	}
 }
 
 func TestParseSpecOverridesOnlyNamedKeys(t *testing.T) {
-	s, err := ParseSpec("radius=16, floor=0.25 ,window=5s")
+	s, err := ParseSpec("radius=16, min=2 ")
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := DefaultSpec()
-	if s.Radius != 16 || s.Floor != 0.25 || s.Window != 5*time.Second {
+	if s.Radius != 16 || s.MinPerBucket != 2 {
 		t.Fatalf("overrides not applied: %+v", s)
 	}
-	if s.Buckets != d.Buckets || s.MinPerBucket != d.MinPerBucket || s.Interval != d.Interval {
+	if s.Buckets != d.Buckets {
 		t.Fatalf("unnamed keys drifted from defaults: %+v", s)
 	}
 }
 
 func TestParseSpecErrors(t *testing.T) {
 	for _, bad := range []string{
-		"radius",            // no '='
-		"radius=x",          // bad int
-		"floor=much",        // bad float
-		"window=fast",       // bad duration
-		"turbo=1",           // unknown key
-		"buckets=0",         // fails validation
-		"radius=-1",         // fails validation
-		"floor=-0.5",        // fails validation
-		"interval=-1s",      // fails validation
-		"radius=8,min=-2",   // fails validation
-		"radius=8,,floor=x", // bad value after empty element
+		"radius",              // no '='
+		"radius=x",            // bad int
+		"buckets=many",        // bad int
+		"turbo=1",             // unknown key
+		"buckets=0",           // fails validation
+		"radius=-1",           // fails validation
+		"radius=8,min=-2",     // fails validation
+		"radius=8,,buckets=x", // bad value after empty element
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q): want error, got nil", bad)
@@ -66,11 +59,30 @@ func TestParseSpecErrors(t *testing.T) {
 	}
 }
 
+// TestParseSpecRejectsRetiredKeys pins the removal of the
+// race allocator's keys: a spec that still names one is an error that
+// names the key, never a silent fall-back to the defaults.
+func TestParseSpecRejectsRetiredKeys(t *testing.T) {
+	for _, tc := range []struct{ spec, key string }{
+		{"floor=0.2", "floor"},
+		{"radius=2,window=3s", "window"},
+		{"interval=1s,radius=2", "interval"},
+	} {
+		_, err := ParseSpec(tc.spec)
+		if err == nil {
+			t.Errorf("ParseSpec(%q) accepted a retired key", tc.spec)
+			continue
+		}
+		if !strings.Contains(err.Error(), `"`+tc.key+`"`) {
+			t.Errorf("ParseSpec(%q) error %q does not name the key %q", tc.spec, err, tc.key)
+		}
+	}
+}
+
 func TestSpecStringRoundTrips(t *testing.T) {
 	for _, s := range []Spec{
 		DefaultSpec(),
-		StaticSpec(),
-		{Radius: 16, Buckets: 12, MinPerBucket: 2, Floor: 0.33, Window: 7 * time.Second, Interval: 250 * time.Millisecond},
+		{Radius: 16, Buckets: 12, MinPerBucket: 2},
 	} {
 		got, err := ParseSpec(s.String())
 		if err != nil {
@@ -88,12 +100,11 @@ func TestNormalizeFillsZeroFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := DefaultSpec()
-	if s.Buckets != d.Buckets || s.MinPerBucket != d.MinPerBucket ||
-		s.Window != d.Window || s.Interval != d.Interval {
+	if s.Buckets != d.Buckets || s.MinPerBucket != d.MinPerBucket {
 		t.Fatalf("Normalize left zero fields unfilled: %+v", s)
 	}
-	if s.Radius != 4 || s.Floor != 0 {
-		t.Fatalf("Normalize changed meaningful zeros: %+v", s)
+	if s.Radius != 4 {
+		t.Fatalf("Normalize changed the radius: %+v", s)
 	}
 	if _, err := (Spec{Radius: -3}).Normalize(); err == nil {
 		t.Fatal("Normalize accepted a negative radius")

@@ -4,7 +4,7 @@
 // diversity.ParseSpec validation. Precedence is uniform too — an
 // explicit local spec wins, an unset flag defers to a coordinator
 // grant where one exists (abs-worker) and otherwise to the defaults;
-// the literal "off" pins the pre-DABS static behaviour.
+// the literal "off" pins the plain elite pool (radius 0).
 package diversityflag
 
 import (
@@ -72,10 +72,10 @@ func Register(unsetMeans string) *Value {
 // RegisterOn is Register on an explicit FlagSet (tests, sub-commands).
 func RegisterOn(fs *flag.FlagSet, unsetMeans string) *Value {
 	if unsetMeans == "" {
-		unsetMeans = "unset means defaults: admission off, adaptive allocator with a 10% floor"
+		unsetMeans = "unset means defaults: admission off"
 	}
 	v := &Value{}
 	fs.Var(v, "diversity",
-		"DABS tuning spec: key=value list over radius,buckets,min,floor,window,interval, or 'off' ("+unsetMeans+")")
+		"DABS pool admission spec: key=value list over radius,buckets,min, or 'off' ("+unsetMeans+")")
 	return v
 }

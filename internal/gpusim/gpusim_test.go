@@ -228,18 +228,34 @@ func TestTargetBufferVersions(t *testing.T) {
 	}
 }
 
+// launchFleet launches fn on every device of f, numbering global
+// slots device-major as the core engine does, and returns the launches.
+func launchFleet(t *testing.T, f *Fleet, blocksPerDevice int, fn BlockFunc) []*DeviceRun {
+	t.Helper()
+	runs := make([]*DeviceRun, f.Size())
+	for d := range runs {
+		run, err := f.Device(d).Launch(blocksPerDevice, d*blocksPerDevice, fn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[d] = run
+	}
+	return runs
+}
+
 func TestClusterLaunchRunsAllBlocks(t *testing.T) {
-	c, err := NewCluster(ScaledCPU(2), 3)
+	f, err := NewFleet(ScaledCPU(2), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := c.TotalBlocks(256, 16)
+	occ, err := f.Spec().Occupancy(256, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := occ.ActiveBlocks * f.Size()
 	var started atomic.Int64
 	seen := make([]atomic.Bool, want)
-	run, err := c.Launch(256, 16, func(bc BlockContext) {
+	runs := launchFleet(t, f, occ.ActiveBlocks, func(bc BlockContext) {
 		started.Add(1)
 		if seen[bc.GlobalBlock].Swap(true) {
 			t.Errorf("duplicate global block %d", bc.GlobalBlock)
@@ -247,13 +263,12 @@ func TestClusterLaunchRunsAllBlocks(t *testing.T) {
 		for !bc.Stopped() {
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
+	for d, run := range runs {
+		if run.Blocks() != occ.ActiveBlocks || run.SlotBase() != d*occ.ActiveBlocks || run.Device() != f.Device(d) {
+			t.Errorf("device %d launch: %d blocks at slot %d", d, run.Blocks(), run.SlotBase())
+		}
+		run.Stop()
 	}
-	if run.Blocks() != want {
-		t.Errorf("Blocks() = %d, want %d", run.Blocks(), want)
-	}
-	run.Stop()
 	if int(started.Load()) != want {
 		t.Errorf("started %d blocks, want %d", started.Load(), want)
 	}
@@ -262,36 +277,39 @@ func TestClusterLaunchRunsAllBlocks(t *testing.T) {
 			t.Errorf("global block %d never ran", i)
 		}
 	}
-	run.Stop() // idempotent
+	runs[0].Stop() // idempotent
 }
 
 func TestClusterRejectsBadConfig(t *testing.T) {
-	if _, err := NewCluster(TuringRTX2080Ti(), 0); err == nil {
-		t.Error("zero-GPU cluster accepted")
+	if _, err := NewFleet(TuringRTX2080Ti(), 0); err == nil {
+		t.Error("zero-device fleet accepted")
 	}
-	c, _ := NewCluster(TuringRTX2080Ti(), 1)
-	if _, err := c.Launch(2048, 1, func(BlockContext) {}); err == nil {
-		t.Error("infeasible launch accepted")
+	f, _ := NewFleet(TuringRTX2080Ti(), 1)
+	if _, err := f.Device(0).Launch(0, 0, func(BlockContext) {}); err == nil {
+		t.Error("zero-block launch accepted")
 	}
 }
 
 func TestBlockContextDeterministicIdentity(t *testing.T) {
-	c, _ := NewCluster(ScaledCPU(1), 2)
-	var maxDev, maxBlk atomic.Int64
-	run, err := c.Launch(64, 16, func(bc BlockContext) {
+	f, _ := NewFleet(ScaledCPU(1), 2)
+	occ, err := f.Spec().Occupancy(64, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var maxDev atomic.Int64
+	runs := launchFleet(t, f, occ.ActiveBlocks, func(bc BlockContext) {
 		if int64(bc.Device) > maxDev.Load() {
 			maxDev.Store(int64(bc.Device))
 		}
-		if int64(bc.Block) > maxBlk.Load() {
-			maxBlk.Store(int64(bc.Block))
+		if bc.Block >= occ.ActiveBlocks || bc.GlobalBlock != bc.Device*occ.ActiveBlocks+bc.Block {
+			t.Errorf("block identity %+v outside its device's slot range", bc)
 		}
 		r := rng.New(uint64(bc.GlobalBlock))
 		_ = r.Uint64()
 	})
-	if err != nil {
-		t.Fatal(err)
+	for _, run := range runs {
+		run.Stop()
 	}
-	run.Stop()
 	if maxDev.Load() != 1 {
 		t.Errorf("max device = %d, want 1", maxDev.Load())
 	}

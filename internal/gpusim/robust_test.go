@@ -9,23 +9,32 @@ import (
 	"abs/internal/bitvec"
 )
 
+// launchOne launches fn on a single ScaledCPU(1) device with the
+// occupancy of a 64-bit problem at 16 bits per thread.
+func launchOne(t *testing.T, fn BlockFunc) *DeviceRun {
+	t.Helper()
+	dev := &Device{Spec: ScaledCPU(1)}
+	occ, err := dev.Spec.Occupancy(64, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := dev.Launch(occ.ActiveBlocks, 0, fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return run
+}
+
 // TestRunStopConcurrentIdempotent calls Stop from many goroutines at
 // once: every call must return (after the blocks join) and none may
 // panic. Run under -race this also proves Stop's internal state is
 // properly synchronized.
 func TestRunStopConcurrentIdempotent(t *testing.T) {
-	c, err := NewCluster(ScaledCPU(1), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run, err := c.Launch(64, 16, func(bc BlockContext) {
+	run := launchOne(t, func(bc BlockContext) {
 		for !bc.Stopped() {
 			time.Sleep(50 * time.Microsecond)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -155,31 +164,19 @@ func TestUnboundedSolutionBufferNeverDrops(t *testing.T) {
 // replacement runs with the same identity, a bumped incarnation, and
 // that the superseded goroutine observes its halt flag.
 func TestRespawnReplacesIncarnation(t *testing.T) {
-	c, err := NewCluster(ScaledCPU(1), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var started [8]atomic.Int64 // by incarnation, for block 0
+	var started, exited [8]atomic.Int64 // by incarnation, for block 0
 	fn := func(bc BlockContext) {
 		if bc.GlobalBlock == 0 && bc.Incarnation < len(started) {
 			started[bc.Incarnation].Add(1)
+			defer exited[bc.Incarnation].Add(1)
 		}
 		for !bc.Stopped() {
 			time.Sleep(20 * time.Microsecond)
 		}
 	}
-	run, err := c.Launch(64, 16, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run.Incarnation(0) != 0 {
-		t.Errorf("fresh slot incarnation %d", run.Incarnation(0))
-	}
+	run := launchOne(t, fn)
 	if !run.Respawn(0, fn) {
 		t.Fatal("Respawn refused on a live run")
-	}
-	if run.Incarnation(0) != 1 {
-		t.Errorf("after respawn incarnation %d, want 1", run.Incarnation(0))
 	}
 	deadline := time.Now().Add(time.Second)
 	for started[1].Load() == 0 && time.Now().Before(deadline) {
@@ -187,6 +184,13 @@ func TestRespawnReplacesIncarnation(t *testing.T) {
 	}
 	if started[1].Load() != 1 {
 		t.Error("replacement incarnation never ran")
+	}
+	for exited[0].Load() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if exited[0].Load() != 1 || exited[1].Load() != 0 {
+		t.Errorf("after respawn: incarnation 0 exited %d times, incarnation 1 %d; want 1 and 0",
+			exited[0].Load(), exited[1].Load())
 	}
 	if run.Respawn(-1, fn) || run.Respawn(run.Blocks(), fn) {
 		t.Error("out-of-range respawn accepted")
@@ -203,21 +207,14 @@ func TestRespawnReplacesIncarnation(t *testing.T) {
 // TestHaltStopsOnlyOneSlot halts one block and confirms the others keep
 // running until the run-wide Stop.
 func TestHaltStopsOnlyOneSlot(t *testing.T) {
-	c, err := NewCluster(ScaledCPU(1), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var alive atomic.Int64
-	run, err := c.Launch(64, 16, func(bc BlockContext) {
+	run := launchOne(t, func(bc BlockContext) {
 		alive.Add(1)
 		defer alive.Add(-1)
 		for !bc.Stopped() {
 			time.Sleep(20 * time.Microsecond)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	total := int64(run.Blocks())
 	deadline := time.Now().Add(time.Second)
 	for alive.Load() != total && time.Now().Before(deadline) {

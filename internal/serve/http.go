@@ -77,9 +77,9 @@ type jobRequest struct {
 	// inherits the service default. Unknown names get a 400 listing the
 	// registered backends (see GET /v1/backends).
 	Backend string `json:"backend,omitempty"`
-	// Diversity tunes the job's DABS control loops as a spec string
-	// ("radius=8,floor=0.2", "off"); empty inherits the service
-	// default. Malformed specs get a 400.
+	// Diversity tunes the job's DABS pool admission policy as a spec
+	// string ("radius=8", "off"); empty inherits the service default.
+	// Malformed specs and unknown keys get a 400 naming the key.
 	Diversity string `json:"diversity,omitempty"`
 }
 
@@ -257,9 +257,8 @@ func (h *httpAPI) submit(w http.ResponseWriter, r *http.Request) {
 
 // backendJSON is one GET /v1/backends entry: the registry info plus
 // the live unit count — how many search units across all running jobs
-// are currently assigned to this backend (the adaptive allocator's
-// split under race, which would otherwise be invisible outside trace
-// logs).
+// run this backend (race jobs count toward straight, sb and tabu by
+// their fixed g mod 3 split).
 type backendJSON struct {
 	Name        string `json:"name"`
 	Description string `json:"description"`

@@ -350,37 +350,40 @@ func TestHTTPBackendSelection(t *testing.T) {
 }
 
 // TestHTTPDiversitySpec submits under an explicit DABS spec, checks a
-// malformed spec is rejected at submit time with a 400 naming the bad
-// key, and that GET /v1/backends reports live per-backend unit counts
-// while a race job runs.
+// malformed spec or a retired allocator key is rejected at submit time
+// with a 400 naming the bad key, and that GET /v1/backends reports
+// live per-backend unit counts while a race job runs.
 func TestHTTPDiversitySpec(t *testing.T) {
 	ts, _ := newTestServer(t, testConfig(1))
 
 	// A valid spec rides the job spec end to end.
-	code, j := postJob(t, ts, `{"random": {"n": 24, "seed": 5}, "time": "150ms", "diversity": "radius=2,floor=0.2"}`)
+	code, j := postJob(t, ts, `{"random": {"n": 24, "seed": 5}, "time": "150ms", "diversity": "radius=2"}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit with diversity: %d", code)
 	}
 	waitJob(t, ts, j.ID, "completion", func(j jobJSON) bool { return j.State == StateDone })
 
-	// A malformed spec is a 400 at submit, not a later failure.
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
-		strings.NewReader(`{"random": {"n": 8}, "max_flips": 10, "diversity": "radius=banana"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := new(bytes.Buffer)
-	body.ReadFrom(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad diversity spec: %d, want 400", resp.StatusCode)
-	}
-	if !strings.Contains(body.String(), "radius") {
-		t.Errorf("400 body does not name the bad key: %s", body.String())
+	// A malformed spec, or one naming a retired allocator key, is a 400
+	// at submit, not a later failure.
+	for spec, key := range map[string]string{"radius=banana": "radius", "radius=2,floor=0.2": "floor"} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+			strings.NewReader(`{"random": {"n": 8}, "max_flips": 10, "diversity": "`+spec+`"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := new(bytes.Buffer)
+		body.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("diversity spec %q: %d, want 400", spec, resp.StatusCode)
+		}
+		if !strings.Contains(body.String(), key) {
+			t.Errorf("400 body for %q does not name the bad key %q: %s", spec, key, body.String())
+		}
 	}
 
-	// While a race job runs, /v1/backends exposes the allocator's live
-	// unit split: the portfolio members carry units that sum over zero.
+	// While a race job runs, /v1/backends exposes its unit split: every
+	// portfolio member carries units, and they sum over zero.
 	code, j = postJob(t, ts, `{"random": {"n": 32, "seed": 6}, "time": "5s", "backend": "race"}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit race job: %d", code)
@@ -417,6 +420,9 @@ func TestHTTPDiversitySpec(t *testing.T) {
 			}
 			if byName["straight"]+byName["sb"]+byName["tabu"] != total {
 				t.Errorf("units outside the portfolio: %v", byName)
+			}
+			if byName["straight"] == 0 || byName["sb"] == 0 || byName["tabu"] == 0 {
+				t.Errorf("a portfolio member holds no units: %v", byName)
 			}
 			break
 		}

@@ -58,11 +58,10 @@ type JobSpec struct {
 	// time with core.ErrUnknownBackend.
 	Backend string
 
-	// Diversity tunes the job's DABS control loops as a
-	// diversity.ParseSpec string ("radius=8,floor=0.2", "off", ...):
-	// the pool's Hamming-distance admission policy and the race
-	// backend's adaptive unit allocator. Empty inherits the service's
-	// default options; malformed specs are rejected at submit time.
+	// Diversity tunes the job's DABS pool admission policy as a
+	// diversity.ParseSpec string ("radius=8", "radius=8,buckets=12",
+	// "off", ...). Empty inherits the service's default options;
+	// malformed specs and unknown keys are rejected at submit time.
 	Diversity string
 
 	// MaxDevices caps how many fleet devices the scheduler may ever

@@ -45,6 +45,7 @@ type jobRecord struct {
 	Seed            uint64 `json:"seed,omitempty"`
 	MaxDevices      int    `json:"max_devices,omitempty"`
 	Backend         string `json:"backend,omitempty"`
+	Diversity       string `json:"diversity,omitempty"`
 	SubmittedUnixMS int64  `json:"submitted_unix_ms,omitempty"`
 
 	// Done records.
@@ -76,6 +77,7 @@ func specRecord(j *Job) (jobRecord, error) {
 		Seed:            j.spec.Seed,
 		MaxDevices:      j.spec.MaxDevices,
 		Backend:         j.spec.Backend,
+		Diversity:       j.spec.Diversity,
 		SubmittedUnixMS: j.submitted.UnixMilli(),
 	}, nil
 }
@@ -208,6 +210,7 @@ func loadJobs(st store.Store, retain int) (*restoredState, error) {
 			Seed:         e.spec.Seed,
 			MaxDevices:   e.spec.MaxDevices,
 			Backend:      e.spec.Backend,
+			Diversity:    e.spec.Diversity,
 		}
 		submitted := time.UnixMilli(e.spec.SubmittedUnixMS)
 		p, perr := qubo.ReadText(strings.NewReader(e.spec.Problem))

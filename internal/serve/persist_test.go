@@ -41,8 +41,10 @@ func TestRestartRetainsResultsAndRequeues(t *testing.T) {
 	}
 
 	// Job 2 has an hour of budget: it cannot finish before the crash.
+	// Its diversity spec must survive the restart with it.
 	p2 := testProblem(40, 2)
-	j2, err := s1.Submit(context.Background(), p2, JobSpec{Name: "long", MaxDuration: time.Hour})
+	j2, err := s1.Submit(context.Background(), p2,
+		JobSpec{Name: "long", MaxDuration: time.Hour, Diversity: "radius=8"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +90,11 @@ func TestRestartRetainsResultsAndRequeues(t *testing.T) {
 		t.Fatalf("restarted service lost unfinished job %s", j2.ID())
 	}
 	waitFor(t, "restored job 2 running", func() bool { return r2.Status().State == StateRunning })
-	if got := r2.Spec(); got.Name != "long" || got.MaxDuration != time.Hour {
+	if got := r2.Spec(); got.Name != "long" || got.MaxDuration != time.Hour || got.Diversity != "radius=8" {
 		t.Errorf("restored spec = %+v, want the original", got)
+	}
+	if eng := r2.engine(); eng == nil || eng.Options().Diversity.Radius != 8 {
+		t.Error("restored job 2 does not run with its radius=8 diversity spec")
 	}
 
 	// The ID counter resumed: a new submission must not collide.

@@ -129,13 +129,6 @@ type Service struct {
 
 	mu   sync.Mutex
 	jobs map[string]*Job
-
-	// divMu guards lastMoves: each running job's high-water mark of
-	// adaptive-allocator reassignments already rolled into the
-	// abs_alloc_reassignments_total counter, so the refresher ticks and
-	// the settle-time flush never double-count a move.
-	divMu     sync.Mutex
-	lastMoves map[string]uint64
 }
 
 // Scheduler events. Submit/cancel come from API goroutines; release and
@@ -202,7 +195,9 @@ func New(cfg Config) (*Service, error) {
 		events:    make(chan event),
 		schedDone: make(chan struct{}),
 		jobs:      make(map[string]*Job),
-		lastMoves: make(map[string]uint64),
+	}
+	if s.metrics != nil && cfg.Registry != nil {
+		cfg.Registry.OnScrape(s.scrapeDiversity)
 	}
 	var restored *restoredState
 	if cfg.Store != nil {
@@ -221,7 +216,6 @@ func New(cfg Config) (*Service, error) {
 		}
 	}
 	go s.scheduler()
-	go s.diversityRefresher()
 	if restored != nil {
 		for _, q := range restored.requeue {
 			s.resubmit(q)
@@ -276,21 +270,13 @@ func (s *Service) Fleet() (spec gpusim.DeviceSpec, size int) {
 	return s.fleet.Spec(), s.fleet.Size()
 }
 
-// BackendUnits aggregates the live per-backend search-unit counts over
-// every running job: the adaptive allocator's current split under a
-// race backend, every unit on the single resolved backend otherwise.
-// Safe from any goroutine (it reads only engine atomics); GET
-// /v1/backends serves it.
+// BackendUnits aggregates the per-backend search-unit counts over
+// every running job: the fixed g mod 3 split under a race backend,
+// every unit on the single resolved backend otherwise. Safe from any
+// goroutine; GET /v1/backends serves it.
 func (s *Service) BackendUnits() map[string]int {
 	out := make(map[string]int)
-	for _, j := range s.Jobs() {
-		if j.Status().State != StateRunning {
-			continue
-		}
-		eng := j.engine()
-		if eng == nil {
-			continue
-		}
+	for _, eng := range s.runningEngines() {
 		for name, c := range eng.BackendUnits() {
 			out[name] += c
 		}
@@ -298,79 +284,30 @@ func (s *Service) BackendUnits() map[string]int {
 	return out
 }
 
-// diversityRefresher keeps the serve-plane DABS instruments
-// (abs_alloc_units, abs_alloc_reassignments_total,
-// abs_pool_distance_buckets_occupied) live while jobs run. Engine
-// reads are lock-free atomics, so a sub-second cadence costs nothing.
-func (s *Service) diversityRefresher() {
-	if s.metrics == nil {
-		return
+// scrapeDiversity is the registry's scrape hook for the serve-plane
+// DABS gauge: abs_pool_distance_buckets_occupied is the largest
+// occupied-bucket count over running jobs, 0 when none runs. Engine
+// reads are lock-free atomics.
+func (s *Service) scrapeDiversity() {
+	buckets := 0
+	for _, eng := range s.runningEngines() {
+		buckets = max(buckets, eng.OccupiedDistanceBuckets())
 	}
-	t := time.NewTicker(250 * time.Millisecond)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.schedDone:
-			return
-		case <-t.C:
-			s.refreshDiversity()
-		}
-	}
+	s.metrics.bucketsOccupied.SetInt(buckets)
 }
 
-// refreshDiversity aggregates the live DABS view over running jobs —
-// per-member unit counts summed, occupied distance buckets maxed — and
-// advances the reassignment counter by each engine's move delta since
-// the last refresh.
-func (s *Service) refreshDiversity() {
-	units := make(map[string]int)
-	buckets := 0
-	var delta uint64
-	s.divMu.Lock()
+// runningEngines returns the engines of the jobs currently running.
+func (s *Service) runningEngines() []*core.Engine {
+	var out []*core.Engine
 	for _, j := range s.Jobs() {
 		if j.Status().State != StateRunning {
 			continue
 		}
-		eng := j.engine()
-		if eng == nil {
-			continue
+		if eng := j.engine(); eng != nil {
+			out = append(out, eng)
 		}
-		for name, c := range eng.BackendUnits() {
-			units[name] += c
-		}
-		if b := eng.OccupiedDistanceBuckets(); b > buckets {
-			buckets = b
-		}
-		moves := eng.AllocMoves()
-		if prev := s.lastMoves[j.id]; moves > prev {
-			delta += moves - prev
-		}
-		s.lastMoves[j.id] = moves
 	}
-	s.divMu.Unlock()
-	if len(units) == 0 && delta == 0 && buckets == 0 {
-		return // idle service: leave the last run's gauges in place
-	}
-	s.metrics.allocGauges(units, buckets)
-	s.metrics.allocMoved(delta)
-}
-
-// settleDiversity flushes a settling job's final reassignment delta —
-// moves performed between the last refresher tick and the engine's
-// finish — and forgets its high-water mark.
-func (s *Service) settleDiversity(j *Job) {
-	eng := j.engine()
-	if eng == nil {
-		return
-	}
-	s.divMu.Lock()
-	moves := eng.AllocMoves()
-	prev := s.lastMoves[j.id]
-	delete(s.lastMoves, j.id)
-	s.divMu.Unlock()
-	if moves > prev {
-		s.metrics.allocMoved(moves - prev)
-	}
+	return out
 }
 
 // Submit validates and enqueues one job. The returned Job is live:
@@ -624,7 +561,6 @@ func (s *Service) settleQueuedCancel(st *schedState, j *Job) {
 // settleJob does the scheduler-side bookkeeping for a terminal job:
 // telemetry and the bounded retention of settled handles.
 func (s *Service) settleJob(st *schedState, j *Job) {
-	s.settleDiversity(j)
 	s.metrics.settled(j, len(st.queued), len(st.running))
 	if stt := j.Status(); stt.State == StateFailed {
 		// A failed job is an incident: preserve the last spans, events

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -337,6 +338,59 @@ func TestServiceCloseCancelsEverything(t *testing.T) {
 		if submits != 2 || settles != 2 {
 			t.Errorf("trace: %d submits, %d settles, want 2/2", submits, settles)
 		}
+	}
+}
+
+// TestDiversityGaugeReadAtScrape pins the serve-plane DABS gauge: a
+// scrape sets abs_pool_distance_buckets_occupied from the running
+// jobs' engines, and the gauge reads 0 once no job runs. Concurrent
+// scrapers race the scheduler and the pump on purpose (run with -race).
+func TestDiversityGaugeReadAtScrape(t *testing.T) {
+	if !telemetry.Enabled {
+		t.Skip("telemetry compiled out")
+	}
+	cfg := testConfig(1)
+	cfg.Defaults.ProgressEvery = 10 * time.Millisecond
+	reg := telemetry.NewRegistry()
+	cfg.Registry = reg
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	buckets := func() float64 {
+		v, _ := reg.Snapshot().Gauge("abs_pool_distance_buckets_occupied", "")
+		return v
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					buckets()
+				}
+			}
+		}()
+	}
+	j, err := s.Submit(context.Background(), testProblem(48, 50),
+		JobSpec{MaxDuration: 30 * time.Second, Diversity: "radius=2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "occupied buckets while the job runs", func() bool { return buckets() >= 1 })
+	j.Cancel()
+	waitFor(t, "job cancelled", func() bool { return j.Status().State == StateCancelled })
+	close(stop)
+	wg.Wait()
+	if got := buckets(); got != 0 {
+		t.Errorf("abs_pool_distance_buckets_occupied = %v with no job running, want 0", got)
 	}
 }
 
