@@ -140,12 +140,17 @@ func NewEngine(p *qubo.Problem, opt Options) (*Engine, error) {
 			storage = StorageDense
 		}
 	}
+	// The ingest gate rechecks publications on the same representation
+	// the blocks run, so a sparse engine never pays the dense O(k²)
+	// energy on its pump.
 	var newState func() qubo.Engine
 	var evaluatedPerFlip float64
+	var oracle Oracle = p
 	if storage == StorageSparse {
 		sp := qubo.Sparsify(p)
 		newState = func() qubo.Engine { return qubo.NewSparseZeroState(sp) }
 		evaluatedPerFlip = 1 + sp.AvgDegree()
+		oracle = sp
 	} else {
 		newState = func() qubo.Engine { return qubo.NewZeroState(p) }
 		evaluatedPerFlip = float64(n)
@@ -241,7 +246,7 @@ func NewEngine(p *qubo.Problem, opt Options) (*Engine, error) {
 		deviceBlock(bc, be.NewUnit(bc.GlobalBlock), opt, targets, solutions, stats, metrics)
 	}
 	e.gate = &ingestGate{
-		adm:          NewGate(p, opt.TrustPublications),
+		adm:          NewGate(oracle, opt.TrustPublications),
 		activeBlocks: blocksPerDevice,
 		totalBlocks:  totalSlots,
 		metrics:      metrics,

@@ -8,8 +8,10 @@ import (
 
 	"abs/internal/ga"
 	"abs/internal/gpusim"
+	"abs/internal/maxcut"
 	"abs/internal/qubo"
 	"abs/internal/rng"
+	"abs/internal/telemetry"
 )
 
 // faultOptions is the shared shape for the fault-injection tests: two
@@ -283,6 +285,49 @@ func TestSolveGoroutineLeakPlainRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkNoGoroutineLeak(t, base)
+}
+
+// TestSolveQuarantinesCorruptionOnSparseStorage: a sparse engine's
+// gate rechecks publications on the CSR view its blocks run, and must
+// still quarantine corrupted ones and keep the reported best honest.
+func TestSolveQuarantinesCorruptionOnSparseStorage(t *testing.T) {
+	g, err := maxcut.GenerateRandom(200, 400, maxcut.WeightsPlusMinusOne, 61)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := maxcut.ToQUBO(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := gpusim.NewFaultPlan(8)
+	plan.CorruptPublications(0.3)
+	reg := telemetry.NewRegistry()
+	o := faultOptions()
+	o.Storage = StorageSparse
+	o.Faults = plan
+	o.Telemetry = reg
+	o.MaxFlips = 300_000
+	o.MaxDuration = 30 * time.Second
+	res, err := Solve(p, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Storage != StorageSparse {
+		t.Fatalf("storage = %v, want sparse", res.Storage)
+	}
+	if res.Quarantined == 0 {
+		t.Errorf("no publications quarantined despite 30%% corruption (%+v)", plan.Counts())
+	}
+	if got := p.Energy(res.Best); got != res.BestEnergy {
+		t.Errorf("best vector energy %d != reported %d", got, res.BestEnergy)
+	}
+	// Quarantined also counts wrong-width payloads; the energy-reject
+	// counter shows the CSR recheck itself caught lies.
+	if telemetry.Enabled {
+		if c, _ := reg.Snapshot().Counter("abs_ingest_rejected_energy_total", ""); c == 0 {
+			t.Error("CSR recheck rejected no lying energy")
+		}
+	}
 }
 
 // TestSolveTrustPublicationsRecoversPaperProtocol: with trust on, a

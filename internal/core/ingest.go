@@ -6,7 +6,6 @@ import (
 	"abs/internal/bitvec"
 	"abs/internal/ga"
 	"abs/internal/gpusim"
-	"abs/internal/qubo"
 )
 
 // Verdict classifies one publication offered to a Gate.
@@ -29,6 +28,14 @@ const (
 	VerdictEnergy
 )
 
+// Oracle is the energy function a Gate rechecks claimed energies
+// against. *qubo.Problem (dense, O(k²) in the k set bits) and
+// *qubo.Sparse (CSR, O(n+nnz)) both satisfy it.
+type Oracle interface {
+	N() int
+	Energy(*bitvec.Vector) int64
+}
+
 // Gate is the reusable admission half of the ingest-validation layer:
 // the checks that protect a GA pool from hostile or corrupted
 // publications, independent of how the publication arrived (device
@@ -36,25 +43,28 @@ const (
 // host trusts devices unconditionally (§3.1: the host never computes
 // the energy function); a production host cannot, since one corrupted
 // worker would poison every future crossover. Unless trust is set, the
-// gate re-evaluates each claimed energy host-side — but only for
-// publications the pool would actually admit, so the O(n²) check is
-// never paid for entries that are duplicates or too bad to matter.
-// That re-evaluation is the one deliberate deviation from §3.1; see
-// DESIGN.md "Fault model & substitutions".
+// gate recomputes each claimed energy host-side from the oracle's
+// weights — but only for publications the pool would actually admit,
+// so the recheck is never paid for entries that are duplicates or too
+// bad to matter. An engine hands the gate the representation its
+// blocks run on, so a sparse instance is rechecked in O(n+nnz) rather
+// than the dense O(k²). That re-evaluation is the one deliberate
+// deviation from §3.1; see DESIGN.md "Fault model & substitutions".
 type Gate struct {
-	p     *qubo.Problem
-	n     int
-	trust bool
+	oracle Oracle
+	n      int
+	trust  bool
 	// quarantined is atomic so live status readers (Engine.Snapshot,
 	// the serve job endpoints, the cluster status plane) can observe it
 	// while the owning goroutine keeps ingesting.
 	quarantined atomic.Uint64
 }
 
-// NewGate returns a gate for publications against p. trust recovers
-// the paper's pure §3.1 protocol (no host-side energy recheck).
-func NewGate(p *qubo.Problem, trust bool) *Gate {
-	return &Gate{p: p, n: p.N(), trust: trust}
+// NewGate returns a gate for publications rechecked against oracle.
+// trust recovers the paper's pure §3.1 protocol (no host-side energy
+// recheck).
+func NewGate(oracle Oracle, trust bool) *Gate {
+	return &Gate{oracle: oracle, n: oracle.N(), trust: trust}
 }
 
 // Quarantined returns how many publications the gate has refused for
@@ -81,7 +91,7 @@ func (g *Gate) Vet(pool *ga.Pool, x *bitvec.Vector, e int64) Verdict {
 	if !pool.WouldAdmit(x, e) {
 		return VerdictPool
 	}
-	if !g.trust && g.p.Energy(x) != e {
+	if !g.trust && g.oracle.Energy(x) != e {
 		g.quarantined.Add(1)
 		return VerdictEnergy
 	}

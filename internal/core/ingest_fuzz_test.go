@@ -6,6 +6,7 @@ import (
 	"abs/internal/bitvec"
 	"abs/internal/ga"
 	"abs/internal/gpusim"
+	"abs/internal/qubo"
 	"abs/internal/rng"
 )
 
@@ -14,6 +15,9 @@ import (
 // validation gate. Whatever arrives, the gate must not panic, must only
 // retarget addressable slots, and (with validation on) must never let a
 // lying energy into the pool; pool invariants must hold throughout.
+// Every input goes through two gates, one rechecking on the dense
+// Problem and one on its CSR view (what a sparse engine's gate gets),
+// and both must reach the same verdicts.
 func FuzzIngestGate(f *testing.F) {
 	f.Add([]byte{0xff, 0x01}, 24, int64(-10), 0, 0, false)
 	f.Add([]byte{}, 0, int64(0), -1, 99, false)
@@ -27,55 +31,80 @@ func FuzzIngestGate(f *testing.F) {
 		totalBlocks  = 32
 	)
 	problem := randomProblem(n, 77)
+	// An honest publication, so the corpus reaches the admit path too.
+	honest := []byte{0x5a, 0xc3, 0x81}
+	f.Add(honest, n, problem.Energy(fuzzVector(honest, n)), 1, 2, false)
+	oracles := []struct {
+		name   string
+		oracle Oracle
+	}{{"dense", problem}, {"csr", qubo.Sparsify(problem)}}
 
 	f.Fuzz(func(t *testing.T, bits []byte, width int, energy int64, device, block int, trust bool) {
-		// Rebuild a fresh pool per input so invariant checks are cheap
-		// and the pool state is deterministic per case.
-		host, err := ga.NewHost(n, ga.DefaultConfig(), rng.New(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		gate := &ingestGate{
-			adm:          NewGate(problem, trust),
-			activeBlocks: activeBlocks,
-			totalBlocks:  totalBlocks,
-		}
-
-		// Width 0 is unconstructible (bitvec.New panics by design), so
-		// non-positive and absurd widths become the nil-vector case.
-		var x *bitvec.Vector
-		if width >= 1 && width <= 4096 {
-			x = bitvec.New(width)
-			for i := 0; i < width && i/8 < len(bits); i++ {
-				x.Set(i, int(bits[i/8]>>(uint(i)%8))&1)
-			}
-		}
+		x := fuzzVector(bits, width)
 		s := gpusim.Solution{X: x, Energy: energy, Device: device, Block: block}
 
-		slot, inserted, retarget := gate.ingest(host, s)
-		if retarget && (slot < 0 || slot >= totalBlocks) {
-			t.Fatalf("retarget of unaddressable slot %d", slot)
+		type verdict struct {
+			slot               int
+			inserted, retarget bool
 		}
-		if inserted {
-			if x == nil || x.Len() != n {
-				t.Fatal("structurally invalid publication inserted")
+		var verdicts [2][2]verdict // per oracle: first ingest, duplicate
+		for k, o := range oracles {
+			// Rebuild a fresh pool per gate so invariant checks are
+			// cheap and both gates see the same pool state.
+			host, err := ga.NewHost(n, ga.DefaultConfig(), rng.New(1))
+			if err != nil {
+				t.Fatal(err)
 			}
-			if energy == ga.UnknownEnergy {
-				t.Fatal("unknown-energy sentinel inserted as a device energy")
+			gate := &ingestGate{
+				adm:          NewGate(o.oracle, trust),
+				activeBlocks: activeBlocks,
+				totalBlocks:  totalBlocks,
 			}
-			if !trust && problem.Energy(x) != energy {
-				t.Fatalf("validated insert of a lying energy: claimed %d, true %d",
-					energy, problem.Energy(x))
+
+			slot, inserted, retarget := gate.ingest(host, s)
+			if retarget && (slot < 0 || slot >= totalBlocks) {
+				t.Fatalf("%s: retarget of unaddressable slot %d", o.name, slot)
 			}
+			if inserted {
+				if x == nil || x.Len() != n {
+					t.Fatalf("%s: structurally invalid publication inserted", o.name)
+				}
+				if energy == ga.UnknownEnergy {
+					t.Fatalf("%s: unknown-energy sentinel inserted as a device energy", o.name)
+				}
+				if !trust && problem.Energy(x) != energy {
+					t.Fatalf("%s: validated insert of a lying energy: claimed %d, true %d",
+						o.name, energy, problem.Energy(x))
+				}
+			}
+			if err := host.Pool().CheckInvariants(); err != nil {
+				t.Fatalf("%s: pool invariants broken after ingest: %v", o.name, err)
+			}
+			verdicts[k][0] = verdict{slot, inserted, retarget}
+			// A second identical ingest must never panic either
+			// (duplicate path) and must keep invariants.
+			slot, inserted, retarget = gate.ingest(host, s)
+			if err := host.Pool().CheckInvariants(); err != nil {
+				t.Fatalf("%s: pool invariants broken after duplicate ingest: %v", o.name, err)
+			}
+			verdicts[k][1] = verdict{slot, inserted, retarget}
 		}
-		if err := host.Pool().CheckInvariants(); err != nil {
-			t.Fatalf("pool invariants broken after ingest: %v", err)
-		}
-		// A second identical ingest must never panic either (duplicate
-		// path) and must keep invariants.
-		gate.ingest(host, s)
-		if err := host.Pool().CheckInvariants(); err != nil {
-			t.Fatalf("pool invariants broken after duplicate ingest: %v", err)
+		if verdicts[0] != verdicts[1] {
+			t.Fatalf("oracles disagree: dense %+v, csr %+v", verdicts[0], verdicts[1])
 		}
 	})
+}
+
+// fuzzVector builds a width-bit vector from the fuzz payload. Width 0
+// is unconstructible (bitvec.New panics by design), so non-positive and
+// absurd widths become the nil-vector case.
+func fuzzVector(bits []byte, width int) *bitvec.Vector {
+	if width < 1 || width > 4096 {
+		return nil
+	}
+	x := bitvec.New(width)
+	for i := 0; i < width && i/8 < len(bits); i++ {
+		x.Set(i, int(bits[i/8]>>(uint(i)%8))&1)
+	}
+	return x
 }

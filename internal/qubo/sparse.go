@@ -3,6 +3,7 @@ package qubo
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"abs/internal/bitvec"
 )
@@ -77,24 +78,30 @@ func (s *Sparse) Density() float64 {
 	return s.avgDegree / float64(s.n-1)
 }
 
-// Energy computes E(x) directly from the adjacency lists in O(nnz):
-// set diagonals once, each off-diagonal pair (i, j) with both bits set
-// twice (W_ij + W_ji). The sparse counterpart of Problem.Energy and the
-// oracle for the CSR round-trip fuzz test.
+// Energy computes E(x) directly from the adjacency lists in O(n+nnz):
+// it walks the set bits word by word, adding each set diagonal once
+// and, for every neighbour j of a set bit i, W_ij·x_j. The CSR lists
+// hold each off-diagonal pair under both endpoints, so a pair with
+// both bits set contributes W_ij + W_ji with no j > i test and no ×2.
+// The sparse counterpart of Problem.Energy, the ingest gate's oracle
+// on sparse engines, and the oracle for the CSR round-trip fuzz test.
 func (s *Sparse) Energy(x *bitvec.Vector) int64 {
 	if x.Len() != s.n {
 		panic("qubo: vector length does not match problem size")
 	}
+	words := x.Words()
 	var e int64
-	for i := 0; i < s.n; i++ {
-		if x.Bit(i) == 0 {
-			continue
-		}
-		e += int64(s.diag[i])
-		for p := s.start[i]; p < s.start[i+1]; p++ {
-			j := int(s.nbrIdx[p])
-			if j > i && x.Bit(j) == 1 {
-				e += 2 * int64(s.nbrW[p])
+	for wi, w := range words {
+		for w != 0 {
+			i := wi<<6 + bits.TrailingZeros64(w)
+			w &= w - 1
+			e += int64(s.diag[i])
+			lo, hi := s.start[i], s.start[i+1]
+			idx := s.nbrIdx[lo:hi]
+			wt := s.nbrW[lo:hi]
+			wt = wt[:len(idx)] // proves wt[p] in range: no bounds check
+			for p, j := range idx {
+				e += int64(wt[p]) & -int64(words[j>>6]>>(j&63)&1)
 			}
 		}
 	}

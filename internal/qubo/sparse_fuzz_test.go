@@ -11,13 +11,16 @@ import (
 // matrix the fuzzer assembles, the adjacency view must agree with the
 // dense one — structurally (every non-zero recovered, nothing
 // invented) and energetically (E(x) and every Δ_k(x) identical on
-// arbitrary vectors).
+// arbitrary vectors). Sizes run up to 255 bits, so Sparse.Energy's
+// word-by-word walk is checked across 64-bit word boundaries.
 func FuzzSparsifyRoundTrip(f *testing.F) {
 	f.Add(uint64(1), []byte{0x01, 0xff, 0x7f}, []byte{0xaa})
 	f.Add(uint64(42), []byte{}, []byte{})
 	f.Add(uint64(7), []byte{0x00, 0x00, 0x80, 0x01}, []byte{0xff, 0x0f})
+	f.Add(uint64(127), []byte{0x80, 0x01, 0xfe, 0x7f, 0x02}, []byte{0x00, 0xff, 0x01})
+	f.Add(uint64(190), []byte{0x11, 0x22, 0x33, 0x44, 0x55, 0x66}, []byte{0xf0})
 	f.Fuzz(func(t *testing.T, seed uint64, weights, vec []byte) {
-		n := 2 + int(seed%30)
+		n := 2 + int(seed%254)
 		p := New(n)
 		// Deterministic fill from the fuzz payload: each byte seeds one
 		// upper-triangle weight (zero bytes leave holes, so density

@@ -83,7 +83,7 @@ func TestHTTPJobTrace(t *testing.T) {
 	if run, ok := spanNames["job.run"]; ok && run.Parent != spanNames["job"].SpanID {
 		t.Errorf("job.run parent = %q, want the job root %q", run.Parent, spanNames["job"].SpanID)
 	}
-	if events == 0 {
+	if telemetry.Enabled && events == 0 {
 		t.Error("trace carries no engine events")
 	}
 
