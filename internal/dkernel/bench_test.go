@@ -7,13 +7,14 @@ import (
 )
 
 // BenchmarkFlipTiles is the kernel-level sibling of qubo's
-// BenchmarkFlipCrossover: one full delta-update pass at paper-shape row
-// lengths, batched (active implementation) vs the scalar reference.
+// BenchmarkFlipCrossover: one full delta-update pass over int32 deltas
+// at paper-shape row lengths, batched (active implementation) vs the
+// scalar reference.
 func BenchmarkFlipTiles(b *testing.B) {
 	for _, n := range []int{1024, 4096, 8192} {
 		r := rand.New(rand.NewSource(int64(n)))
 		d, row, sgnc := randInputs(r, n)
-		tmins := make([]int64, n/TileWidth)
+		tmins := make([]int32, n/TileWidth)
 		b.Run(fmt.Sprintf("batched-n%d", n), func(b *testing.B) {
 			b.SetBytes(int64(n))
 			for i := 0; i < b.N; i++ {
@@ -23,14 +24,14 @@ func BenchmarkFlipTiles(b *testing.B) {
 		b.Run(fmt.Sprintf("scalar-n%d", n), func(b *testing.B) {
 			b.SetBytes(int64(n))
 			for i := 0; i < b.N; i++ {
-				refFlip(d, row, sgnc, i&1 == 1)
+				flipTail(d, row, sgnc, 0, i&1 == 1)
 			}
 		})
 	}
 }
 
 func BenchmarkMinVal(b *testing.B) {
-	for _, n := range []int{256, 1024, 8192} {
+	for _, n := range []int{128, 256, 512, 1024, 8192} {
 		r := rand.New(rand.NewSource(int64(n)))
 		d, _, _ := randInputs(r, n)
 		b.Run(fmt.Sprintf("batched-n%d", n), func(b *testing.B) {

@@ -1,18 +1,38 @@
-// AVX2 tile kernels for the batched delta-evaluation path. The layout
-// mirrors the Go generic implementation tile for tile; the agreement
-// tests in dkernel_test.go assert bit-for-bit identical results.
+// AVX2 tile kernels for the batched delta-evaluation path, on int32
+// deltas. The layout mirrors the Go generic implementation tile for
+// tile; the agreement tests in dkernel_test.go assert bit-for-bit
+// identical results.
 #include "textflag.h"
 
-// func flipTilesAVX2(d *int64, row *int16, sgnc *int16, tmins *int64, nTiles int64, neg int64)
+// GROUP8 updates d[off, off+8) of the current tile and folds the new
+// values into the running tile minimum Y14:
+//
+//	d[i] += flip · sign(sgnc[i]) · 2 · row[i]
+//
+// which is d[i] += flip · sgnc[i] · row[i] because sgnc[i] is ±2 or 0.
+// The row is widened to int32 before VPSIGND negates it: negating
+// −32768 in int16 would wrap.
+#define GROUP8(off) \
+	VPMOVSXWD (off*2)(SI), Y0; \
+	VPMOVSXWD (off*2)(DX), Y1; \
+	VPSIGND Y1, Y0, Y0; \
+	VPSLLD $1, Y0, Y0; \
+	VPSIGND Y15, Y0, Y0; \
+	VPADDD (off*4)(DI), Y0, Y0; \
+	VMOVDQU Y0, (off*4)(DI); \
+	VPMINSD Y0, Y14, Y14
+
+// func flipTilesAVX2(d *int32, row *int16, sgnc *int16, tmins *int32, nTiles int64, neg int64)
 //
 // For t in [0, nTiles), over the tile's 64 elements:
 //
-//	d[i] += int32(sgnc[i]) * int32(row[i]) * (neg != 0 ? -1 : +1)
+//	d[i] += sgnc[i] * row[i] * (neg != 0 ? -1 : +1)
 //	tmins[t] = min over the tile of the updated d[i]
 //
-// sgnc is pre-scaled (±2 or the 0 sentinel), so the int32 product
-// |2·w| ≤ 2¹⁶ never overflows, and the int64 accumulation inherits the
-// width argument made in qubo.State.
+// Every updated value is a true Δ, bounded by 32768·(2·32768 − 1) <
+// MaxInt32 (see qubo.State), so the int32 adds never wrap; a 0 sign
+// entry leaves its lane untouched, which keeps the MaxInt32 sentinel
+// of the flipped bit out of every minimum.
 TEXT ·flipTilesAVX2(SB), NOSPLIT, $0-48
 	MOVQ d+0(FP), DI
 	MOVQ row+8(FP), SI
@@ -21,7 +41,7 @@ TEXT ·flipTilesAVX2(SB), NOSPLIT, $0-48
 	MOVQ nTiles+32(FP), CX
 	MOVQ neg+40(FP), AX
 
-	// Y15 = per-lane ±1 multiplier applied with VPSIGND.
+	// Y15 = per-lane ±1 flip sign applied with VPSIGND.
 	MOVQ $1, BX
 	TESTQ AX, AX
 	JZ pos
@@ -30,150 +50,114 @@ pos:
 	MOVQ BX, X15
 	VPBROADCASTD X15, Y15
 
-	PCMPEQL X13, X13
-	VPBROADCASTQ X13, Y13   // Y13 = all ones; >>1 yields MaxInt64 seeds
+	VPCMPEQD Y13, Y13, Y13
+	VPSRLD $1, Y13, Y13     // Y13 = MaxInt32 ×8, the minimum seed
 
-tileloop:
 	TESTQ CX, CX
 	JZ done
 
-	VPSRLQ $1, Y13, Y14     // min accumulator A = MaxInt64 ×4
-	VPSRLQ $1, Y13, Y12     // min accumulator B = MaxInt64 ×4
-
-	// Pull the next tiles' row bytes toward the core while this tile
+tileloop:
+	// Pull the next tile's row bytes toward the core while this tile
 	// computes: the row streams once per flip from L2/L3/DRAM and is
 	// the kernel's only non-resident operand at paper-shape n (d and
 	// sgnc stay cache-resident between flips).
 	PREFETCHT0 128(SI)
 	PREFETCHT0 192(SI)
 
-	MOVQ $4, R9             // 4 groups of 16 elements = one 64-wide tile
-group:
-	// elements g+0 .. g+7
-	VPMOVSXWD (SI), Y0      // 8 × int32 row
-	VPMOVSXWD (DX), Y1      // 8 × int32 sgnc
-	VPMULLD Y1, Y0, Y2      // products (|v| ≤ 2¹⁶)
-	VPSIGND Y15, Y2, Y2     // apply the flip sign
-	VPMOVSXDQ X2, Y3        // widen low 4 to int64
-	VEXTRACTI128 $1, Y2, X4
-	VPMOVSXDQ X4, Y5        // widen high 4 to int64
-	VMOVDQU (DI), Y6
-	VMOVDQU 32(DI), Y7
-	VPADDQ Y3, Y6, Y6
-	VPADDQ Y5, Y7, Y7
-	VMOVDQU Y6, (DI)
-	VMOVDQU Y7, 32(DI)
-	VPCMPGTQ Y6, Y14, Y8    // accumulate running minima (two chains
-	VBLENDVPD Y8, Y6, Y14, Y14 // so the cmp/blend latency overlaps)
-	VPCMPGTQ Y7, Y12, Y8
-	VBLENDVPD Y8, Y7, Y12, Y12
+	VMOVDQA Y13, Y14
+	GROUP8(0)
+	GROUP8(8)
+	GROUP8(16)
+	GROUP8(24)
+	GROUP8(32)
+	GROUP8(40)
+	GROUP8(48)
+	GROUP8(56)
 
-	// elements g+8 .. g+15
-	VPMOVSXWD 16(SI), Y0
-	VPMOVSXWD 16(DX), Y1
-	VPMULLD Y1, Y0, Y2
-	VPSIGND Y15, Y2, Y2
-	VPMOVSXDQ X2, Y3
-	VEXTRACTI128 $1, Y2, X4
-	VPMOVSXDQ X4, Y5
-	VMOVDQU 64(DI), Y6
-	VMOVDQU 96(DI), Y7
-	VPADDQ Y3, Y6, Y6
-	VPADDQ Y5, Y7, Y7
-	VMOVDQU Y6, 64(DI)
-	VMOVDQU Y7, 96(DI)
-	VPCMPGTQ Y6, Y14, Y8
-	VBLENDVPD Y8, Y6, Y14, Y14
-	VPCMPGTQ Y7, Y12, Y8
-	VBLENDVPD Y8, Y7, Y12, Y12
+	// tmins[t] = horizontal min of the 8 lanes
+	VEXTRACTI128 $1, Y14, X1
+	VPMINSD X1, X14, X1
+	VPSHUFD $0x4e, X1, X2
+	VPMINSD X2, X1, X1
+	VPSHUFD $0xb1, X1, X2
+	VPMINSD X2, X1, X1
+	VMOVD X1, (R8)
 
-	ADDQ $32, SI
-	ADDQ $32, DX
-	ADDQ $128, DI
-	DECQ R9
-	JNZ group
-
-	// tmins[t] = horizontal min over both accumulators
-	VPCMPGTQ Y12, Y14, Y8
-	VBLENDVPD Y8, Y12, Y14, Y14
-	VEXTRACTI128 $1, Y14, X9
-	VPCMPGTQ X9, X14, X10
-	VBLENDVPD X10, X9, X14, X11
-	VPSHUFD $0x4e, X11, X12
-	VPCMPGTQ X12, X11, X10
-	VBLENDVPD X10, X12, X11, X11
-	VMOVQ X11, AX
-	MOVQ AX, (R8)
-	ADDQ $8, R8
-
+	ADDQ $128, SI
+	ADDQ $128, DX
+	ADDQ $256, DI
+	ADDQ $4, R8
 	DECQ CX
-	JMP tileloop
+	JNZ tileloop
 
 done:
 	VZEROUPPER
 	RET
 
-// func minVal64AVX2(d *int64, n int64) int64
+// func minVal32AVX2(d *int32, n int64) int32
 //
-// Minimum of d[0:n]; n must be a positive multiple of 8.
-TEXT ·minVal64AVX2(SB), NOSPLIT, $0-24
+// Minimum of d[0:n]; n must be a positive multiple of 8. Two
+// accumulators take 16 lanes per iteration; both are seeded with the
+// first 8 elements, so no sentinel is needed.
+TEXT ·minVal32AVX2(SB), NOSPLIT, $0-20
 	MOVQ d+0(FP), DI
 	MOVQ n+8(FP), CX
-	PCMPEQL X13, X13
-	VPBROADCASTQ X13, Y13
-	VPSRLQ $1, Y13, Y14
-	VPSRLQ $1, Y13, Y12
-minloop:
-	VMOVDQU (DI), Y6
-	VMOVDQU 32(DI), Y7
-	VPCMPGTQ Y6, Y14, Y8
-	VBLENDVPD Y8, Y6, Y14, Y14
-	VPCMPGTQ Y7, Y12, Y8
-	VBLENDVPD Y8, Y7, Y12, Y12
-	ADDQ $64, DI
+	VMOVDQU (DI), Y0
+	VMOVDQA Y0, Y1
+	ADDQ $32, DI
 	SUBQ $8, CX
-	JNZ minloop
-	VPCMPGTQ Y12, Y14, Y8
-	VBLENDVPD Y8, Y12, Y14, Y14
-	VEXTRACTI128 $1, Y14, X9
-	VPCMPGTQ X9, X14, X10
-	VBLENDVPD X10, X9, X14, X11
-	VPSHUFD $0x4e, X11, X12
-	VPCMPGTQ X12, X11, X10
-	VBLENDVPD X10, X12, X11, X11
-	VMOVQ X11, AX
-	MOVQ AX, ret+16(FP)
+minloop:
+	CMPQ CX, $16
+	JLT mintail
+	VPMINSD (DI), Y0, Y0
+	VPMINSD 32(DI), Y1, Y1
+	ADDQ $64, DI
+	SUBQ $16, CX
+	JMP minloop
+mintail:
+	TESTQ CX, CX
+	JZ minreduce
+	VPMINSD (DI), Y0, Y0
+minreduce:
+	VPMINSD Y1, Y0, Y0
+	VEXTRACTI128 $1, Y0, X1
+	VPMINSD X1, X0, X0
+	VPSHUFD $0x4e, X0, X1
+	VPMINSD X1, X0, X0
+	VPSHUFD $0xb1, X0, X1
+	VPMINSD X1, X0, X0
+	VMOVD X0, AX
+	MOVL AX, ret+16(FP)
 	VZEROUPPER
 	RET
 
-// func firstEq64AVX2(d *int64, n int64, v int64) int64
+// func firstEq32AVX2(d *int32, n int64, v int32) int64
 //
 // Smallest i with d[i] == v, or −1; n must be a positive multiple
-// of 4. The tie-break resolver: called once per flip (or selection) on
+// of 8. The tie-break resolver: called once per flip (or selection) on
 // the winning tile or window segment only.
-TEXT ·firstEq64AVX2(SB), NOSPLIT, $0-32
+TEXT ·firstEq32AVX2(SB), NOSPLIT, $0-32
 	MOVQ d+0(FP), DI
 	MOVQ n+8(FP), CX
-	MOVQ v+16(FP), AX
-	MOVQ AX, X0
-	VPBROADCASTQ X0, Y0
+	MOVL v+16(FP), AX
+	MOVL AX, X0
+	VPBROADCASTD X0, Y0
 	XORQ R9, R9
 eqloop:
-	VMOVDQU (DI), Y1
-	VPCMPEQQ Y0, Y1, Y2
-	VMOVMSKPD Y2, AX
-	TESTQ AX, AX
+	VPCMPEQD (DI), Y0, Y2
+	VMOVMSKPS Y2, AX
+	TESTL AX, AX
 	JNZ found
 	ADDQ $32, DI
-	ADDQ $4, R9
-	SUBQ $4, CX
+	ADDQ $8, R9
+	SUBQ $8, CX
 	JNZ eqloop
 	MOVQ $-1, AX
 	MOVQ AX, ret+24(FP)
 	VZEROUPPER
 	RET
 found:
-	TZCNTQ AX, AX
+	TZCNTL AX, AX
 	ADDQ R9, AX
 	MOVQ AX, ret+24(FP)
 	VZEROUPPER

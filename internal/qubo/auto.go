@@ -34,8 +34,7 @@ func (r Rep) String() string {
 // beats the dense row scan up to ≈50 % density at n ∈ {1k, 4k}, but the
 // win shrinks toward the crossover while CSR storage for mid-density
 // instances approaches twice the dense matrix; 0.30 keeps only the
-// ≥1.5× regime and leaves margin for the kernel simulator's per-flip
-// reduction overhead. See DESIGN.md §9.
+// ≥1.5× regime. See DESIGN.md §9.
 const DefaultSparseDensityThreshold = 0.30
 
 // ChooseRep maps an off-diagonal non-zero density to the representation

@@ -64,7 +64,7 @@ func BranchAndBound(p *Problem) (BnBResult, error) {
 	// Incumbent: greedy descent from zero (cheap, often strong).
 	inc := NewZeroState(p)
 	for {
-		best, bestD := -1, int64(0)
+		best, bestD := -1, int32(0)
 		for i, d := range inc.Deltas() {
 			if d < bestD {
 				best, bestD = i, d

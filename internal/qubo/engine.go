@@ -22,10 +22,12 @@ type Engine interface {
 	N() int
 	// Energy returns E(X) of the current solution.
 	Energy() int64
-	// Delta returns Δ_k(X); Deltas returns the full vector as a shared
-	// read-only slice.
+	// Delta returns Δ_k(X) widened to int64 for energy arithmetic;
+	// Deltas returns the full vector as a shared read-only slice at
+	// the paper's 32-bit register width (§3.2), which every Δ of an
+	// accepted instance fits (see State).
 	Delta(k int) int64
-	Deltas() []int64
+	Deltas() []int32
 	// Flip flips bit k, maintaining energy, deltas and the best-found
 	// solution.
 	Flip(k int)

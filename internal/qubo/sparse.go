@@ -139,7 +139,7 @@ func (s *Sparse) Neighbours(k int) ([]int32, []int16) {
 type SparseState struct {
 	sp     *Sparse
 	x      *bitvec.Vector
-	delta  []int64
+	delta  []int32 // Δ at register width; State documents the bound
 	energy int64
 
 	bestVec *bitvec.Vector
@@ -153,11 +153,11 @@ func NewSparseZeroState(sp *Sparse) *SparseState {
 	s := &SparseState{
 		sp:    sp,
 		x:     bitvec.New(sp.n),
-		delta: make([]int64, sp.n),
+		delta: make([]int32, sp.n),
 		bestE: math.MaxInt64,
 	}
 	for i := range s.delta {
-		s.delta[i] = int64(sp.diag[i])
+		s.delta[i] = int32(sp.diag[i])
 	}
 	return s
 }
@@ -187,10 +187,10 @@ func (s *SparseState) N() int { return s.sp.n }
 func (s *SparseState) Energy() int64 { return s.energy }
 
 // Delta implements Engine.
-func (s *SparseState) Delta(k int) int64 { return s.delta[k] }
+func (s *SparseState) Delta(k int) int64 { return int64(s.delta[k]) }
 
 // Deltas implements Engine.
-func (s *SparseState) Deltas() []int64 { return s.delta }
+func (s *SparseState) Deltas() []int32 { return s.delta }
 
 // Flips implements Engine.
 func (s *SparseState) Flips() uint64 { return s.flips }
@@ -209,29 +209,29 @@ func (s *SparseState) Snapshot() *bitvec.Vector { return s.x.Clone() }
 func (s *SparseState) Flip(k int) {
 	sp := s.sp
 	d := s.delta
-	sk := int64(1 - 2*s.x.Bit(k))
+	sk := int32(1 - 2*s.x.Bit(k))
 	oldDk := d[k]
 
 	lo, hi := sp.start[k], sp.start[k+1]
-	minI, minD := -1, int64(math.MaxInt64)
+	minI, minD := -1, int32(math.MaxInt32)
 	for p := lo; p < hi; p++ {
 		i := int(sp.nbrIdx[p])
-		xi := int64(s.x.Bit(i))
-		d[i] += 2 * sk * (1 - 2*xi) * int64(sp.nbrW[p])
+		xi := int32(s.x.Bit(i))
+		d[i] += 2 * sk * (1 - 2*xi) * int32(sp.nbrW[p])
 		if d[i] < minD {
 			minI, minD = i, d[i]
 		}
 	}
 	d[k] = -oldDk
-	s.energy += oldDk
+	s.energy += int64(oldDk)
 	s.x.Flip(k)
 	s.flips++
 
 	if s.energy < s.bestE {
 		s.recordBest(s.x, s.energy)
 	}
-	if minI >= 0 && s.energy+minD < s.bestE {
-		s.recordBestNeighbour(minI, s.energy+minD)
+	if minI >= 0 && s.energy+int64(minD) < s.bestE {
+		s.recordBestNeighbour(minI, s.energy+int64(minD))
 	}
 }
 
@@ -278,7 +278,7 @@ func (s *SparseState) CheckConsistency() error {
 		return fmt.Errorf("qubo: sparse energy drift: incremental %d, direct %d", s.energy, e)
 	}
 	for k := 0; k < s.sp.n; k++ {
-		if want := s.sp.DeltaDirect(s.x, k); want != s.delta[k] {
+		if want := s.sp.DeltaDirect(s.x, k); want != int64(s.delta[k]) {
 			return fmt.Errorf("qubo: sparse delta drift at %d: incremental %d, direct %d",
 				k, s.delta[k], want)
 		}

@@ -13,7 +13,8 @@ import (
 //   - the current solution X,
 //   - its energy E(X),
 //   - the full difference vector d where d[k] = Δ_k(X) (Eq. 4), the
-//     paper's per-thread register file,
+//     paper's per-thread register file, at the paper's 32-bit register
+//     width (§3.2),
 //   - the best solution B found since the last reset and its energy.
 //
 // Flip applies one bit flip and updates all of the above in O(n) word
@@ -23,9 +24,14 @@ import (
 //
 // A State is not safe for concurrent use; each search unit owns one.
 type State struct {
-	p     *Problem
-	x     *bitvec.Vector
-	delta []int64
+	p *Problem
+	x *bitvec.Vector
+	// delta is int32: with n ≤ MaxBits = 2¹⁵ and int16 weights,
+	// |Δ_i| ≤ |W_ii| + 2·Σ_{j≠i} |W_ij| ≤ 2¹⁵·(2·2¹⁵ − 1) =
+	// 2,147,450,880, which is 32,767 below math.MaxInt32 — so every Δ
+	// fits, and MaxInt32 stays free as the batched path's sentinel for
+	// the flipped bit. Energies are sums of many deltas and stay int64.
+	delta []int32
 	// energy is E(x). With |W| < 2¹⁵ and n ≤ 2¹⁵ the extreme energy
 	// magnitude is ~2·n²·2¹⁵ ≈ 2⁴⁶, well inside int64.
 	energy int64
@@ -41,7 +47,7 @@ type State struct {
 	// batched.go and DESIGN.md §14.
 	batched bool
 	sgnc    []int16
-	tmins   []int64
+	tmins   []int32
 }
 
 // NewZeroState returns a State at the all-zero vector, for which
@@ -67,12 +73,14 @@ func (s *State) Problem() *Problem { return s.p }
 // Energy returns E(X) for the current solution.
 func (s *State) Energy() int64 { return s.energy }
 
-// Delta returns Δ_k(X), the energy change if bit k were flipped.
-func (s *State) Delta(k int) int64 { return s.delta[k] }
+// Delta returns Δ_k(X), the energy change if bit k were flipped,
+// widened to int64 for energy arithmetic.
+func (s *State) Delta(k int) int64 { return int64(s.delta[k]) }
 
-// Deltas returns the full Δ vector as a shared read-only slice; callers
-// (selection policies) must not modify it.
-func (s *State) Deltas() []int64 { return s.delta }
+// Deltas returns the full Δ vector, at its int32 register width, as a
+// shared read-only slice; callers (selection policies) must not modify
+// it.
+func (s *State) Deltas() []int32 { return s.delta }
 
 // X returns the current solution as a shared read-only vector; callers
 // must not mutate it. Use Snapshot for an owned copy.
@@ -108,23 +116,27 @@ func (s *State) flipScalar(k int) {
 	words := s.x.Words()
 
 	// φ(x_k) before the flip; Eq. (6) uses pre-flip bit values.
-	sk := int64(1 - 2*s.x.Bit(k))
+	sk := int32(1 - 2*s.x.Bit(k))
 	oldDk := d[k]
 
 	// Update all Δ_i and track the minimum over i ≠ k so the best
 	// neighbour of the new solution can be recorded without a second
 	// scan. The i == k slot receives a garbage update inside the loop
-	// and is overwritten with −Δ_k afterwards (Case 1 of §2.1).
-	minI, minD := -1, int64(math.MaxInt64)
+	// and is overwritten with −Δ_k afterwards (Case 1 of §2.1). At the
+	// extreme bound that garbage update (Δ_k + 2·W_kk) may wrap int32;
+	// Go defines signed overflow as wrapping, the slot is excluded from
+	// the argmin, and the overwrite discards it. Every i ≠ k receives a
+	// true Δ_i and cannot wrap.
+	minI, minD := -1, int32(math.MaxInt32)
 	for i := 0; i < n; i++ {
-		xi := int64(words[uint(i)>>6]>>(uint(i)&63)) & 1
-		d[i] += 2 * sk * (1 - 2*xi) * int64(row[i])
+		xi := int32(words[uint(i)>>6]>>(uint(i)&63)) & 1
+		d[i] += 2 * sk * (1 - 2*xi) * int32(row[i])
 		if d[i] < minD && i != k {
 			minI, minD = i, d[i]
 		}
 	}
 	d[k] = -oldDk
-	s.energy += oldDk
+	s.energy += int64(oldDk)
 	s.x.Flip(k)
 	s.flips++
 
@@ -133,11 +145,11 @@ func (s *State) flipScalar(k int) {
 	if s.energy < s.bestE {
 		s.recordBest(s.x, s.energy)
 	}
-	if minI >= 0 && s.energy+minD < s.bestE {
+	if minI >= 0 && s.energy+int64(minD) < s.bestE {
 		// Materialize the neighbour lazily; improvements are rare after
 		// the initial descent, so the O(n/64) copy does not affect the
 		// amortized O(1) efficiency.
-		s.recordBestNeighbour(minI, s.energy+minD)
+		s.recordBestNeighbour(minI, s.energy+int64(minD))
 	}
 }
 
@@ -191,13 +203,15 @@ func (s *State) NoteCurrentAsBest() {
 
 // CheckConsistency recomputes E(X) and every Δ_k from the weight matrix
 // and compares them with the incrementally maintained values. It is the
-// test oracle for Eqs. (5)–(6) and costs O(n²).
+// test oracle for Eqs. (5)–(6) and costs O(n²). The recomputation runs
+// in int64 (Problem.Delta), independent of the int32 register file, so
+// a wrapped register would show as drift.
 func (s *State) CheckConsistency() error {
 	if e := s.p.Energy(s.x); e != s.energy {
 		return fmt.Errorf("qubo: energy drift: incremental %d, direct %d", s.energy, e)
 	}
 	for k := 0; k < s.p.n; k++ {
-		if d := s.p.Delta(s.x, k); d != s.delta[k] {
+		if d := s.p.Delta(s.x, k); d != int64(s.delta[k]) {
 			return fmt.Errorf("qubo: delta drift at %d: incremental %d, direct %d",
 				k, s.delta[k], d)
 		}

@@ -415,6 +415,17 @@ func TestReadTSPLIBErrors(t *testing.T) {
 	}
 }
 
+// TestReadTSPLIBRejectsHugeDimension: a header alone must not make the
+// reader allocate per-city arrays sized by an absurd DIMENSION (17 GB
+// for 10⁹ cities); it is rejected as a bad header instead.
+func TestReadTSPLIBRejectsHugeDimension(t *testing.T) {
+	in := "DIMENSION: 1000000000\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\nEOF\n"
+	_, err := ReadTSPLIB(strings.NewReader(in))
+	if err == nil || !strings.Contains(err.Error(), "DIMENSION") {
+		t.Errorf("huge DIMENSION: err = %v, want a bad DIMENSION error", err)
+	}
+}
+
 func TestTSPLIBWriteReadRoundTrip(t *testing.T) {
 	inst := RandomEuclidean(10, 8)
 	var sb strings.Builder

@@ -16,6 +16,12 @@ import (
 // Table 1(b) (ulysses16: GEO, bayg29: UPPER_ROW, dantzig42:
 // LOWER_DIAG_ROW, berlin52 and st70: EUC_2D).
 func ReadTSPLIB(r io.Reader) (*Instance, error) {
+	// maxDimension bounds what an untrusted DIMENSION header can make
+	// the reader allocate before a single coordinate or weight arrives.
+	// An Instance holds a dense c×c distance matrix, which is already
+	// 4 GiB at 2¹⁵ cities.
+	const maxDimension = 1 << 15
+
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
 
@@ -55,7 +61,7 @@ func ReadTSPLIB(r io.Reader) (*Instance, error) {
 			}
 		case "DIMENSION":
 			d, err := strconv.Atoi(value)
-			if err != nil || d < 3 {
+			if err != nil || d < 3 || d > maxDimension {
 				return nil, fmt.Errorf("tsp: bad DIMENSION %q", value)
 			}
 			dim = d
