@@ -26,10 +26,11 @@ check:
 	./scripts/check.sh
 
 # The CI short lane, exactly as .github/workflows/ci.yml runs it:
-# both vet flavours, both builds, the API-surface gate and the -short
-# test suite in both flavours. `make check` remains the full gate
-# (-race, cluster e2e).
+# gofmt, both vet flavours, both builds, the API-surface gate and the
+# -short test suite in both flavours. `make check` remains the full
+# gate (-race, cluster e2e).
 ci:
+	test -z "$$(gofmt -l . | tee /dev/stderr)"
 	$(GO) vet ./...
 	$(GO) vet -tags abstelemetryoff ./...
 	$(GO) build ./...
@@ -76,8 +77,8 @@ cluster-demo:
 	echo "--- waiting for the run to finish ---" && \
 	wait
 
-# abs-serve smoke: boots one abs-serve (stamped build identity, race
-# backend, diversity radius 2) and asserts the operator surface end to
+# abs-serve smoke: boots one abs-serve (stamped build identity,
+# -tuning backend=race,radius=2) and asserts the operator surface end to
 # end — /v1/backends and the 400 on unknown names, a race-pinned job,
 # build info, histograms and per-backend counters on /metrics, a
 # parseable causal trace at /v1/jobs/{id}/trace, and >= 2 occupied

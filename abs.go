@@ -44,6 +44,11 @@ type (
 	GAConfig = ga.Config
 	// DeviceSpec describes a simulated GPU model.
 	DeviceSpec = gpusim.DeviceSpec
+	// Tuning picks a run's storage, solver backend and DABS pool
+	// admission spec (Options.Tuning, JobSpec.Tuning, the cluster
+	// configs). A zero field is unset; see ParseTuning for the text
+	// form.
+	Tuning = core.Tuning
 	// Storage selects the search-engine representation (auto, dense,
 	// sparse).
 	Storage = core.Storage
@@ -57,13 +62,13 @@ type (
 	// admissions, improvements and the backend's unit count.
 	BackendStat = core.BackendStat
 	// DiversitySpec bundles the DABS pool-admission knobs (arXiv
-	// 2207.03069) accepted by Options.Diversity: the pool's Hamming
-	// admission radius and distance-bucket shape. The zero value means
-	// defaults.
+	// 2207.03069) carried by Tuning.Diversity: the pool's Hamming
+	// admission radius and distance-bucket shape. The zero value is
+	// unset.
 	DiversitySpec = diversity.Spec
 
-	// Progress is the periodic run snapshot passed to Options.Progress
-	// and reported live by Job.Status.
+	// Progress is the periodic run snapshot written by
+	// Options.ProgressWriter and reported live by Job.Status.
 	Progress = core.Progress
 	// BlockStat is the per-search-unit record in Result.BlockStats.
 	BlockStat = core.BlockStat
@@ -111,10 +116,6 @@ const (
 	StorageSparse = core.StorageSparse
 )
 
-// ParseStorage parses "auto", "dense" or "sparse" into a Storage value
-// (the decoder behind every -storage CLI flag).
-func ParseStorage(s string) (Storage, error) { return core.ParseStorage(s) }
-
 // Backend constants, re-exported from the core package. The registry
 // is open — Backends lists everything registered — but these four ship
 // with the library.
@@ -136,29 +137,21 @@ const (
 	BackendRace = core.BackendRace
 )
 
-// ErrUnknownBackend is the typed error Options.Validate (and every
-// parse path above it) returns for an unregistered backend name; test
-// with errors.Is.
+// ErrUnknownBackend is the typed error ParseTuning and Options.Validate
+// return for an unregistered backend name; test with errors.Is.
 var ErrUnknownBackend = core.ErrUnknownBackend
-
-// ParseBackend parses "auto" or a registered backend name into a
-// Backend value (the decoder behind every -backend CLI flag); the
-// error for an unknown name lists the registry.
-func ParseBackend(s string) (Backend, error) { return core.ParseBackend(s) }
 
 // Backends lists the registered solver backends with their one-line
 // descriptions, sorted by name (the body of GET /v1/backends).
 func Backends() []BackendInfo { return core.Backends() }
 
-// ParseDiversitySpec parses a "radius=8,buckets=12"-style key=value
-// string into a DiversitySpec (the decoder behind every -diversity CLI
-// flag, the serve job field and the cluster grant). The empty string
-// and the literal "off" are the defaults; unknown keys are errors.
-func ParseDiversitySpec(s string) (DiversitySpec, error) { return diversity.ParseSpec(s) }
-
-// DefaultDiversitySpec returns the defaults: pool admission off
-// (radius 0 is opt-in), 8 distance buckets of at least one entry each.
-func DefaultDiversitySpec() DiversitySpec { return diversity.DefaultSpec() }
+// ParseTuning parses the text form behind every -tuning CLI flag, the
+// serve job body's "tuning" field and the cluster grant: a
+// comma-separated key=value list over storage (auto, dense, sparse),
+// backend (a registered name), and the admission keys radius, buckets
+// and min ("backend=race,radius=4"). Keys it leaves out stay unset;
+// radius=0 sets admission explicitly off. Unknown keys are errors.
+func ParseTuning(s string) (Tuning, error) { return core.ParseTuning(s) }
 
 // NewProblem returns an all-zero n-variable QUBO instance; fill it with
 // SetWeight/AddWeight.
@@ -198,9 +191,9 @@ type (
 	// Job is a handle on one submitted solve; all methods are safe for
 	// concurrent use.
 	Job = serve.Job
-	// JobSpec is the per-job request: stop conditions, seed, an
-	// optional name and a device cap. Zero fields inherit the Solver's
-	// default Options.
+	// JobSpec is the per-job request: stop conditions, seed, tuning,
+	// an optional name and a device cap. Zero fields inherit the
+	// Solver's default Options.
 	JobSpec = serve.JobSpec
 	// JobStatus is a point-in-time job snapshot, safe to read while the
 	// job runs.
@@ -335,31 +328,6 @@ func SolveToTargetContext(ctx context.Context, p *Problem, target int64, budget 
 	opt.TargetEnergy = &target
 	opt.MaxDuration = budget
 	return SolveContext(ctx, p, opt)
-}
-
-// SolveFor is SolveForContext without cancellation. Everything beyond
-// the budget is DefaultOptions — host-sized fleet, auto storage and
-// the straight backend — with no way to override; that implicit
-// configuration is why the wrapper is deprecated rather than grown.
-//
-// Deprecated: use SolveForContext, or Solve with explicit Options when
-// any non-default configuration (a Backend, Storage, telemetry) is
-// wanted. SolveFor is kept for source compatibility and will not be
-// removed in v1, but new code should pass a context.
-func SolveFor(p *Problem, budget time.Duration) (*Result, error) {
-	return SolveForContext(context.Background(), p, budget)
-}
-
-// SolveToTarget is SolveToTargetContext without cancellation. Like
-// SolveFor, everything beyond the target and budget is pinned to
-// DefaultOptions with no way to override.
-//
-// Deprecated: use SolveToTargetContext, or Solve with explicit Options
-// when any non-default configuration (a Backend, Storage, telemetry)
-// is wanted. SolveToTarget is kept for source compatibility and will
-// not be removed in v1, but new code should pass a context.
-func SolveToTarget(p *Problem, target int64, budget time.Duration) (*Result, error) {
-	return SolveToTargetContext(context.Background(), p, target, budget)
 }
 
 // ExactSolve enumerates all solutions of a small instance (≤ 30 bits)

@@ -5,6 +5,7 @@
 package abs
 
 import (
+	"context"
 	"io"
 	"testing"
 	"time"
@@ -90,7 +91,7 @@ func BenchmarkAblationAdaptive(b *testing.B) { benchTable(b, bench.AblationAdapt
 func BenchmarkSolveRate1k(b *testing.B) {
 	p := RandomProblem(1024, 1)
 	for i := 0; i < b.N; i++ {
-		res, err := SolveFor(p, 100*time.Millisecond)
+		res, err := SolveForContext(context.Background(), p, 100*time.Millisecond)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -10,24 +10,17 @@
 //	abs-bench -figure 8
 //	abs-bench -ablation efficiency|straight|selection|pool|storage|
 //	                    adaptive|ladder|parameters
-//	abs-bench -report BENCH.json [-scale quick|medium|full]
-//	abs-bench -cluster-report BENCH.json [-scale quick|medium|full]
 //	abs-bench -sparse-report BENCH.json [-assert-ratio 2.0]
 //	abs-bench -dense-report BENCH.json [-assert-dense-ratio 2.0]
 //	abs-bench -backend-report BENCH.json [-scale quick|medium|full]
 //
-// Every benchmark solve accepts -backend to pin the solver backend
-// (auto|straight|sb|tabu|race; auto means straight).
+// Every benchmark solve accepts -tuning to pin the storage, solver
+// backend and DABS admission spec (e.g. -tuning backend=tabu,radius=4;
+// unset keys mean storage by density, straight, admission off).
 //
-// -report solves a fixed seeded problem set with telemetry attached
-// and writes a machine-readable JSON report (per-device flips/sec,
-// best energy, wall time per run). -cluster-report solves one
-// G-set-style instance twice under the same budget — single node vs a
-// two-worker loopback HTTP cluster — and writes the comparison with
-// best-energy trajectories. -sparse-report solves a G-set-style, a
-// Chimera and a dense random instance on both the dense and the sparse
-// engine and writes flips/sec and time-to-target side by side;
-// -assert-ratio additionally fails the process unless the sparse
+// -sparse-report solves a G-set-style, a Chimera and a dense random
+// instance on both the dense and the sparse engine and writes
+// flips/sec and time-to-target side by side; -assert-ratio additionally fails the process unless the sparse
 // engine delivers at least that multiple of the dense flips/sec on
 // every below-threshold instance (the CI regression gate).
 // -dense-report solves fully dense random instances twice — the dense
@@ -48,9 +41,8 @@ import (
 	"io"
 	"os"
 
-	"abs/internal/backendflag"
 	"abs/internal/bench"
-	"abs/internal/diversityflag"
+	"abs/internal/core"
 )
 
 // renderFunc is one report section.
@@ -109,38 +101,21 @@ func main() {
 		figure   = flag.String("figure", "", "regenerate one figure: 8")
 		ablation = flag.String("ablation", "", "run one ablation: efficiency, straight, selection, pool, storage, adaptive, ladder, parameters")
 		scale    = flag.String("scale", "quick", "experiment scale: quick, medium or full")
-		report   = flag.String("report", "", "write a machine-readable JSON run report to this file")
-		clusterR = flag.String("cluster-report", "", "write a single-node vs loopback-cluster comparison JSON to this file")
 		sparseR  = flag.String("sparse-report", "", "write a dense-vs-sparse engine comparison JSON to this file")
 		ratio    = flag.Float64("assert-ratio", 0, "with -sparse-report: fail unless sparse/dense flips ratio is at least this on below-threshold instances (0 disables)")
 		denseR   = flag.String("dense-report", "", "write a scalar-vs-batched dense-kernel comparison JSON to this file")
 		dratio   = flag.Float64("assert-dense-ratio", 0, "with -dense-report: fail unless batched/scalar flips ratio is at least this on every instance (0 disables; relaxed to no-regression without SIMD)")
 		backendR = flag.String("backend-report", "", "write a per-backend time-to-target comparison JSON to this file")
-		backend  = backendflag.Register("auto means straight; applies to every benchmark solve except -backend-report, which sweeps all backends")
-		divFlag  = diversityflag.Register("applies to every benchmark solve")
+		tuning   core.Tuning
 	)
+	flag.Var(&tuning, "tuning", core.TuningUsage("mean storage by density, straight, admission off; applies to every benchmark solve, except that -backend-report sweeps all backends"))
 	flag.Parse()
-	bench.SetDefaultBackend(backend.Backend())
-	bench.SetDefaultDiversity(divFlag.Spec())
+	bench.SetDefaultTuning(tuning)
 
 	s, err := parseScale(*scale)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "abs-bench:", err)
 		os.Exit(2)
-	}
-	if *report != "" {
-		if err := writeReportFile(*report, s, bench.WriteReport); err != nil {
-			fmt.Fprintln(os.Stderr, "abs-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Println("report written to", *report)
-	}
-	if *clusterR != "" {
-		if err := writeReportFile(*clusterR, s, bench.WriteClusterReport); err != nil {
-			fmt.Fprintln(os.Stderr, "abs-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Println("cluster report written to", *clusterR)
 	}
 	if *sparseR != "" {
 		if err := writeSparseReport(*sparseR, s, *ratio); err != nil {
@@ -163,7 +138,7 @@ func main() {
 		}
 		fmt.Println("backend report written to", *backendR)
 	}
-	if (*report != "" || *clusterR != "" || *sparseR != "" || *denseR != "" || *backendR != "") &&
+	if (*sparseR != "" || *denseR != "" || *backendR != "") &&
 		!*all && *table == "" && *figure == "" && *ablation == "" {
 		return
 	}
@@ -176,19 +151,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "abs-bench:", err)
 		os.Exit(1)
 	}
-}
-
-// writeReportFile renders one JSON report to path.
-func writeReportFile(path string, s bench.Scale, write func(io.Writer, bench.Scale) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f, s); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // writeSparseReport builds the dense-vs-sparse comparison once, writes

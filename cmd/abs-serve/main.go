@@ -6,7 +6,7 @@
 //
 //	abs-serve [-addr :8080] [-gpus 2] [-sms 2] [-queue-cap 16]
 //	          [-retain 64] [-default-time 10s] [-max-time 5m]
-//	          [-store /var/lib/abs]
+//	          [-store /var/lib/abs] [-tuning backend=race,radius=4]
 //
 // With -store the service is crash-recoverable: every accepted job's
 // spec and terminal result are journaled to the directory, and a
@@ -30,7 +30,8 @@
 // or a server-side generator spec ("random": {"n": 512, "seed": 7}),
 // plus stop conditions: "time" (Go duration), "max_flips",
 // "target_energy". "max_devices" caps the job's fair share of the
-// fleet.
+// fleet, and "tuning" ("backend=race,radius=4") overrides the keys of
+// the service's -tuning that it sets.
 //
 // Coordinator mode turns the process into a multi-node cluster head
 // instead: it owns the authoritative GA pool for ONE instance and
@@ -39,6 +40,7 @@
 //
 //	abs-serve -coordinator -random-n 512 -time 30s [-target -4000]
 //	          [-lease-ttl 10s] [-lease-batch 32] [-linger 3s]
+//	          [-tuning storage=sparse,backend=tabu]
 //	abs-serve -coordinator -file instance.qubo -target -4100 -time 5m
 //
 // The same listener exposes the telemetry plane in both modes:
@@ -58,10 +60,8 @@ import (
 	"syscall"
 	"time"
 
-	"abs/internal/backendflag"
 	"abs/internal/cluster"
 	"abs/internal/core"
-	"abs/internal/diversityflag"
 	"abs/internal/gpusim"
 	"abs/internal/health"
 	"abs/internal/qubo"
@@ -78,8 +78,7 @@ type config struct {
 	retain      int
 	defaultTime time.Duration
 	maxTime     time.Duration
-	backend     *backendflag.Value
-	diversity   *diversityflag.Value
+	tuning      core.Tuning
 
 	// Durability (both modes).
 	storeDir   string
@@ -97,7 +96,6 @@ type config struct {
 	leaseTTL    time.Duration
 	leaseBatch  int
 	linger      time.Duration
-	storage     string
 }
 
 func main() {
@@ -122,9 +120,7 @@ func main() {
 	flag.DurationVar(&cfg.leaseTTL, "lease-ttl", 0, "coordinator: lease TTL (default 10s)")
 	flag.IntVar(&cfg.leaseBatch, "lease-batch", 0, "coordinator: targets granted per lease call (default 32)")
 	flag.DurationVar(&cfg.linger, "linger", 3*time.Second, "coordinator: how long to keep serving after the run finishes so workers can flush")
-	flag.StringVar(&cfg.storage, "storage", "auto", "coordinator: engine representation granted to workers (auto|dense|sparse)")
-	cfg.backend = backendflag.Register("job mode: default for jobs that name none; coordinator mode: granted to workers")
-	cfg.diversity = diversityflag.Register("job mode: default for jobs that name no spec; coordinator mode: granted to workers")
+	flag.Var(&cfg.tuning, "tuning", core.TuningUsage("mean storage by density, straight, admission off (job mode: the default for keys a job leaves unset; coordinator mode: granted to workers)"))
 	flag.Parse()
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "target" {
@@ -202,19 +198,13 @@ func runCoordinator(ctx context.Context, cfg config, out *os.File) error {
 	reg := telemetry.NewRegistry()
 	tr := telemetry.NewTracer(1 << 14)
 	telemetry.StampBuildInfo(reg)
-	storage, err := core.ParseStorage(cfg.storage)
-	if err != nil {
-		return err
-	}
 	ccfg := cluster.CoordinatorConfig{
 		Seed:        cfg.seed,
 		MaxDuration: cfg.runTime,
 		MaxFlips:    cfg.maxFlips,
 		LeaseTTL:    cfg.leaseTTL,
 		LeaseBatch:  cfg.leaseBatch,
-		Storage:     storage,
-		Backend:     cfg.backend.Backend(),
-		Diversity:   cfg.diversity.Raw(),
+		Tuning:      cfg.tuning,
 		Registry:    reg,
 		Tracer:      tr,
 		Checkpoint:  cfg.checkpoint,
@@ -336,8 +326,7 @@ func loadProblem(cfg config) (*qubo.Problem, error) {
 func newService(cfg config) (*serve.Service, *telemetry.Registry, *telemetry.Tracer, error) {
 	defaults := core.DefaultOptions()
 	defaults.MaxDuration = cfg.defaultTime
-	defaults.Backend = cfg.backend.Backend()
-	defaults.Diversity = cfg.diversity.Spec()
+	defaults.Tuning = cfg.tuning
 
 	var device gpusim.DeviceSpec
 	if cfg.sms == 0 {

@@ -8,8 +8,7 @@
 //
 //	abs-worker -coordinator http://host:8080 [-id worker-a]
 //	           [-devices 1] [-sms 2] [-exchange 200ms] [-publish-k 8]
-//	           [-backend auto|straight|sb|tabu|race]
-//	           [-diversity radius=8|off]
+//	           [-tuning backend=tabu,radius=0]
 //	           [-addr :9090] [-metrics-addr :9091] [-trace-out run.jsonl]
 //
 // The worker needs nothing but the coordinator's address — the
@@ -38,10 +37,8 @@ import (
 	"syscall"
 	"time"
 
-	"abs/internal/backendflag"
 	"abs/internal/cluster"
 	"abs/internal/core"
-	"abs/internal/diversityflag"
 	"abs/internal/gpusim"
 	"abs/internal/health"
 	"abs/internal/obsflags"
@@ -56,9 +53,7 @@ type config struct {
 	exchange    time.Duration
 	publishK    int
 	maxTime     time.Duration
-	storage     string
-	backend     *backendflag.Value
-	diversity   *diversityflag.Value
+	tuning      core.Tuning
 	addr        string
 	obs         obsflags.Config
 }
@@ -72,9 +67,7 @@ func main() {
 	flag.DurationVar(&cfg.exchange, "exchange", 200*time.Millisecond, "publish/lease exchange cadence")
 	flag.IntVar(&cfg.publishK, "publish-k", 8, "best local solutions shipped per exchange")
 	flag.DurationVar(&cfg.maxTime, "max-time", 24*time.Hour, "local backstop budget for an orphaned worker")
-	flag.StringVar(&cfg.storage, "storage", "auto", "engine representation: auto|dense|sparse (auto defers to the coordinator's grant, then density)")
-	cfg.backend = backendflag.Register("auto defers to the coordinator's grant, then straight")
-	cfg.diversity = diversityflag.Register("unset defers to the coordinator's grant, then defaults; 'off' refuses the grant")
+	flag.Var(&cfg.tuning, "tuning", core.TuningUsage("take the coordinator's grant, then storage by density, straight, admission off; radius=0 refuses a granted admission policy"))
 	flag.StringVar(&cfg.addr, "addr", "", "health/metrics listen address (empty = no listener)")
 	cfg.obs.Register(flag.CommandLine)
 	flag.Parse()
@@ -106,10 +99,6 @@ func run(ctx context.Context, cfg config, out *os.File) error {
 	} else {
 		device = gpusim.ScaledCPU(cfg.sms)
 	}
-	storage, err := core.ParseStorage(cfg.storage)
-	if err != nil {
-		return err
-	}
 	// The worker's registry and tracer always exist — the -addr health
 	// listener re-exposes them — and the shared -metrics-addr /
 	// -trace-out plane adds a dedicated endpoint and a JSONL sink on
@@ -133,9 +122,7 @@ func run(ctx context.Context, cfg config, out *os.File) error {
 		Exchange:    cfg.exchange,
 		PublishK:    cfg.publishK,
 		MaxDuration: cfg.maxTime,
-		Storage:     storage,
-		Backend:     cfg.backend.Backend(),
-		Diversity:   cfg.diversity.Raw(),
+		Tuning:      cfg.tuning,
 		Registry:    reg,
 		Tracer:      tr,
 	})

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -36,7 +37,7 @@ func main() {
 	}
 	fmt.Printf("ising model: %d spins → QUBO with %d bits, offset C = %d\n", n, p.N(), c)
 
-	res, err := abs.SolveFor(p, 2*time.Second)
+	res, err := abs.SolveForContext(context.Background(), p, 2*time.Second)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -17,7 +18,7 @@ func main() {
 	p := abs.RandomProblem(1024, 42)
 	fmt.Println("solving", abs.Describe(p))
 
-	res, err := abs.SolveFor(p, 2*time.Second)
+	res, err := abs.SolveForContext(context.Background(), p, 2*time.Second)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -31,7 +32,7 @@ func main() {
 	fmt.Printf("QUBO: %d bits, penalty A = %d\n", enc.Vars(), enc.A)
 
 	// Ask ABS for the exact optimum, with a generous cap.
-	res, err := abs.SolveToTarget(enc.Problem(), enc.EnergyForLength(opt), 60*time.Second)
+	res, err := abs.SolveToTargetContext(context.Background(), enc.Problem(), enc.EnergyForLength(opt), 60*time.Second)
 	if err != nil {
 		log.Fatal(err)
 	}

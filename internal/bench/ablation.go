@@ -183,7 +183,7 @@ func AblationStorage(w io.Writer, s Scale) error {
 	fmt.Fprintln(tw, "Engine\tFlips\tFlips/s\tBest cut\tEvaluated/flip")
 	for _, st := range []core.Storage{core.StorageDense, core.StorageSparse} {
 		opt := solveOptions()
-		opt.Storage = st
+		opt.Tuning.Storage = st
 		res, err := MeasureRate(p, opt, budget)
 		if err != nil {
 			return err

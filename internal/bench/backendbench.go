@@ -68,7 +68,7 @@ type BackendRun struct {
 // run's; so are reached and time-to-target.
 func measureBackend(p *qubo.Problem, name string, target int64, s Scale) (BackendRun, error) {
 	opt := solveOptions()
-	opt.Backend = core.Backend(name)
+	opt.Tuning.Backend = core.Backend(name)
 	opt.TargetEnergy = &target
 	opt.MaxDuration = s.RunCap
 	opt.MaxFlips = 0

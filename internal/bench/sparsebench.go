@@ -112,7 +112,7 @@ func sparseInstances(s Scale) ([]*qubo.Problem, []string, error) {
 // shared calibrated target.
 func measureEngine(p *qubo.Problem, storage core.Storage, target int64, s Scale) (SparseEngineRun, error) {
 	opt := solveOptions()
-	opt.Storage = storage
+	opt.Tuning.Storage = storage
 	run := SparseEngineRun{Storage: storage.String(), TargetEnergy: target}
 
 	res, err := MeasureRate(p, opt, s.RateBudget)

@@ -8,7 +8,6 @@ import (
 
 	"abs/internal/chimera"
 	"abs/internal/core"
-	"abs/internal/diversity"
 	"abs/internal/gpusim"
 	"abs/internal/maxcut"
 	"abs/internal/qubo"
@@ -17,31 +16,22 @@ import (
 	"abs/internal/tsp"
 )
 
-// defaultBackend is the solver backend every benchmark run uses;
-// BackendAuto (the zero value) keeps the paper's straight program.
-// Set once from the -backend flag before any benchmark runs.
-var defaultBackend core.Backend
+// defaultTuning is the storage, backend and DABS tuning every
+// benchmark run starts from; the zero value keeps the paper's straight
+// program, storage by density and admission off. Set once from the
+// -tuning flag before any benchmark runs.
+var defaultTuning core.Tuning
 
-// SetDefaultBackend pins the solver backend for all subsequent
-// benchmark solves (abs-bench -backend).
-func SetDefaultBackend(b core.Backend) { defaultBackend = b }
-
-// defaultDiversity is the DABS tuning every benchmark run uses; the
-// zero Spec normalizes to diversity.DefaultSpec (admission off). Set
-// once from the -diversity flag before any benchmark runs.
-var defaultDiversity diversity.Spec
-
-// SetDefaultDiversity pins the DABS tuning for all subsequent
-// benchmark solves (abs-bench -diversity).
-func SetDefaultDiversity(d diversity.Spec) { defaultDiversity = d }
+// SetDefaultTuning pins the tuning for all subsequent benchmark solves
+// (abs-bench -tuning).
+func SetDefaultTuning(t core.Tuning) { defaultTuning = t }
 
 // solveOptions returns the solver configuration shared by all
 // time-to-solution rows.
 func solveOptions() core.Options {
 	o := core.DefaultOptions()
 	o.Seed = 20200701 // fixed for reproducibility across report runs
-	o.Backend = defaultBackend
-	o.Diversity = defaultDiversity
+	o.Tuning = defaultTuning
 	return o
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"abs/internal/bitvec"
 	"abs/internal/core"
+	"abs/internal/diversity"
 	"abs/internal/qubo"
 	"abs/internal/randqubo"
 	"abs/internal/rng"
@@ -434,194 +435,157 @@ func TestDedupSetWindowEvicts(t *testing.T) {
 	}
 }
 
-func TestStorageGrantPropagatesToWorkerEngine(t *testing.T) {
+// grantCases is the one table behind the registration-grant tests, a
+// row per core.Tuning field: what the coordinator grants and its wire
+// form, a different value a worker sets itself, the engine default when
+// neither sets it (on the dense testProblem), a corrupt wire form, a
+// bad Go value, and how to read the field off a built engine.
+var grantCases = map[string]struct {
+	grant, local, dflt core.Tuning
+	wire, corrupt      string
+	bad                core.Tuning
+	read               func(*core.Engine) core.Tuning
+}{
+	"storage": {
+		grant: core.Tuning{Storage: core.StorageSparse},
+		local: core.Tuning{Storage: core.StorageDense},
+		dflt:  core.Tuning{Storage: core.StorageDense},
+		wire:  "storage=sparse", corrupt: "storage=columnar",
+		bad:  core.Tuning{Storage: core.Storage(9)},
+		read: func(e *core.Engine) core.Tuning { return core.Tuning{Storage: e.Storage()} },
+	},
+	"backend": {
+		grant: core.Tuning{Backend: core.BackendTabu},
+		local: core.Tuning{Backend: core.BackendSB},
+		dflt:  core.Tuning{Backend: core.BackendStraight},
+		wire:  "backend=tabu", corrupt: "backend=columnar",
+		bad:  core.Tuning{Backend: "columnar"},
+		read: func(e *core.Engine) core.Tuning { return core.Tuning{Backend: e.Backend()} },
+	},
+	"diversity": {
+		grant: core.Tuning{Diversity: diversity.Spec{Radius: 4, Buckets: 6, MinPerBucket: 1}},
+		local: core.Tuning{Diversity: diversity.DefaultSpec()}, // radius=0: the local opt-out
+		dflt:  core.Tuning{Diversity: diversity.DefaultSpec()},
+		wire:  "radius=4,buckets=6,min=1", corrupt: "radius=banana",
+		bad:  core.Tuning{Diversity: diversity.Spec{Radius: -1}},
+		read: func(e *core.Engine) core.Tuning { return core.Tuning{Diversity: e.Options().Tuning.Diversity} },
+	},
+}
+
+// grantsExcept merges the given field of every row except key.
+func grantsExcept(key string, field func(row string) core.Tuning) core.Tuning {
+	var out core.Tuning
+	for k := range grantCases {
+		if k != key {
+			out = field(k).Over(out)
+		}
+	}
+	return out
+}
+
+// buildWorkerEngine builds a worker's engine from reg under a local
+// Tuning, finishing it when the test ends.
+func buildWorkerEngine(t *testing.T, c *Coordinator, p *qubo.Problem, reg *RegisterResponse, id string, local core.Tuning) (*core.Engine, error) {
+	t.Helper()
+	w, err := NewWorker(WorkerConfig{Transport: NewLocalTransport(c), WorkerID: id, Tuning: local})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.buildEngine(p, reg); err != nil {
+		return nil, err
+	}
+	t.Cleanup(func() { w.engine.Finish(true) })
+	return w.engine, nil
+}
+
+// checkGrant: the coordinator grants one field; a worker that leaves
+// it unset inherits it (also when it sets every other field), one
+// that sets it keeps its own, and a corrupt grant is a permanent
+// registration error, not a silent default.
+func checkGrant(t *testing.T, key string) {
+	tc := grantCases[key]
 	p := testProblem(48, 4) // dense random instance: auto would pick dense
-	c := newCoord(t, p, CoordinatorConfig{Storage: core.StorageSparse})
+	c := newCoord(t, p, CoordinatorConfig{Tuning: tc.grant})
 	reg := mustRegister(t, c, "w-grant")
-	if reg.Storage != "sparse" {
-		t.Fatalf("registration grant storage = %q, want \"sparse\"", reg.Storage)
+	if reg.Tuning != tc.wire {
+		t.Fatalf("registration grant = %q, want %q", reg.Tuning, tc.wire)
 	}
-
-	// A worker left on auto inherits the coordinator's choice.
-	w, err := NewWorker(WorkerConfig{Transport: NewLocalTransport(c), WorkerID: "w-grant"})
+	others := grantsExcept(key, func(k string) core.Tuning { return grantCases[k].local })
+	for _, local := range []core.Tuning{{}, others} {
+		eng, err := buildWorkerEngine(t, c, p, reg, "w-inherit", local)
+		if err != nil {
+			t.Fatalf("buildEngine under %q: %v", local, err)
+		}
+		if got := tc.read(eng); got != tc.grant {
+			t.Errorf("worker with %q resolved %q, want %q from the grant", local, got, tc.grant)
+		}
+	}
+	eng, err := buildWorkerEngine(t, c, p, reg, "w-local", tc.local)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.buildEngine(p, reg); err != nil {
 		t.Fatalf("buildEngine: %v", err)
 	}
-	defer w.engine.Finish(true)
-	if got := w.engine.Storage(); got != core.StorageSparse {
-		t.Errorf("auto worker resolved %v, want sparse from the grant", got)
-	}
-
-	// An explicit local setting wins over the grant.
-	w2, err := NewWorker(WorkerConfig{Transport: NewLocalTransport(c), WorkerID: "w-local", Storage: core.StorageDense})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.buildEngine(p, reg); err != nil {
-		t.Fatalf("buildEngine: %v", err)
-	}
-	defer w2.engine.Finish(true)
-	if got := w2.engine.Storage(); got != core.StorageDense {
-		t.Errorf("locally pinned worker resolved %v, want dense", got)
-	}
-
-	// A corrupt grant is a hard registration error, not a silent auto.
-	w3, err := NewWorker(WorkerConfig{Transport: NewLocalTransport(c), WorkerID: "w-bad"})
-	if err != nil {
-		t.Fatal(err)
+	if got := tc.read(eng); got != tc.local {
+		t.Errorf("locally set worker resolved %q, want its own %q", got, tc.local)
 	}
 	bad := *reg
-	bad.Storage = "columnar"
-	if err := w3.buildEngine(p, &bad); err == nil {
-		w3.engine.Finish(true)
-		t.Error("buildEngine accepted an unknown storage grant")
-	}
-}
-
-func TestStorageGrantOmittedOnAuto(t *testing.T) {
-	c := newCoord(t, testProblem(32, 5), CoordinatorConfig{})
-	if reg := mustRegister(t, c, "w"); reg.Storage != "" {
-		t.Errorf("auto coordinator granted storage %q, want empty (decide locally)", reg.Storage)
-	}
-}
-
-func TestBackendGrantPropagatesToWorkerEngine(t *testing.T) {
-	p := testProblem(48, 6)
-	c := newCoord(t, p, CoordinatorConfig{Backend: core.BackendTabu})
-	reg := mustRegister(t, c, "w-grant")
-	if reg.Backend != "tabu" {
-		t.Fatalf("registration grant backend = %q, want \"tabu\"", reg.Backend)
-	}
-
-	// A worker left on auto inherits the coordinator's choice.
-	w, err := NewWorker(WorkerConfig{Transport: NewLocalTransport(c), WorkerID: "w-grant"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.buildEngine(p, reg); err != nil {
-		t.Fatalf("buildEngine: %v", err)
-	}
-	defer w.engine.Finish(true)
-	if got := w.engine.Backend(); got != core.BackendTabu {
-		t.Errorf("auto worker resolved %v, want tabu from the grant", got)
-	}
-
-	// An explicit local setting wins over the grant.
-	w2, err := NewWorker(WorkerConfig{Transport: NewLocalTransport(c), WorkerID: "w-local", Backend: core.BackendSB})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.buildEngine(p, reg); err != nil {
-		t.Fatalf("buildEngine: %v", err)
-	}
-	defer w2.engine.Finish(true)
-	if got := w2.engine.Backend(); got != core.BackendSB {
-		t.Errorf("locally pinned worker resolved %v, want sb", got)
-	}
-
-	// A corrupt grant is a hard registration error, not a silent auto.
-	w3, err := NewWorker(WorkerConfig{Transport: NewLocalTransport(c), WorkerID: "w-bad"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := *reg
-	bad.Backend = "columnar"
-	if err := w3.buildEngine(p, &bad); err == nil {
-		w3.engine.Finish(true)
-		t.Error("buildEngine accepted an unknown backend grant")
-	}
-}
-
-func TestBackendGrantOmittedOnAuto(t *testing.T) {
-	c := newCoord(t, testProblem(32, 7), CoordinatorConfig{})
-	if reg := mustRegister(t, c, "w"); reg.Backend != "" {
-		t.Errorf("auto coordinator granted backend %q, want empty (decide locally)", reg.Backend)
-	}
-}
-
-func TestDiversityGrantPropagatesToWorkerEngine(t *testing.T) {
-	p := testProblem(48, 8)
-	c := newCoord(t, p, CoordinatorConfig{Diversity: "radius=4,buckets=6"})
-	reg := mustRegister(t, c, "w-grant")
-	if reg.Diversity != "radius=4,buckets=6" {
-		t.Fatalf("registration grant diversity = %q", reg.Diversity)
-	}
-	// The coordinator's own authoritative pool runs the granted
-	// admission policy too.
-	if c.cfg.GA.Policy == nil {
-		t.Error("coordinator pool has no admission policy despite radius > 0")
-	}
-
-	// A worker with no local spec inherits the grant.
-	w, err := NewWorker(WorkerConfig{Transport: NewLocalTransport(c), WorkerID: "w-grant"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.buildEngine(p, reg); err != nil {
-		t.Fatalf("buildEngine: %v", err)
-	}
-	defer w.engine.Finish(true)
-	if got := w.engine.Options().Diversity; got.Radius != 4 || got.Buckets != 6 {
-		t.Errorf("auto worker diversity = %+v, want radius 4 buckets 6 from the grant", got)
-	}
-
-	// An explicit local spec wins over the grant — including the "off"
-	// opt-out, which pins the plain elite pool (radius 0).
-	w2, err := NewWorker(WorkerConfig{Transport: NewLocalTransport(c), WorkerID: "w-local", Diversity: "off"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.buildEngine(p, reg); err != nil {
-		t.Fatalf("buildEngine: %v", err)
-	}
-	defer w2.engine.Finish(true)
-	if got := w2.engine.Options().Diversity; got.Radius != 0 {
-		t.Errorf("locally opted-out worker diversity = %+v, want radius 0", got)
-	}
-
-	// A corrupt grant is a hard (permanent) registration error.
-	w3, err := NewWorker(WorkerConfig{Transport: NewLocalTransport(c), WorkerID: "w-bad"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := *reg
-	bad.Diversity = "radius=banana"
-	if err := w3.buildEngine(p, &bad); err == nil {
-		w3.engine.Finish(true)
-		t.Error("buildEngine accepted a corrupt diversity grant")
+	bad.Tuning = tc.corrupt
+	if _, err := buildWorkerEngine(t, c, p, &bad, "w-bad", core.Tuning{}); err == nil {
+		t.Errorf("buildEngine accepted the corrupt grant %q", tc.corrupt)
 	} else if !Permanent(err) {
 		t.Errorf("corrupt grant error should be permanent, got %v", err)
 	}
+}
 
-	// A corrupt LOCAL spec is also permanent, and blamed on the worker.
-	w4, err := NewWorker(WorkerConfig{Transport: NewLocalTransport(c), WorkerID: "w-bad-local", Diversity: "turbo=1"})
+// checkGrantOmitted: a coordinator that sets nothing grants nothing,
+// one that sets every other field leaves this one out of the wire
+// form, and a worker that sets nothing then runs the engine default.
+func checkGrantOmitted(t *testing.T, key string) {
+	tc := grantCases[key]
+	p := testProblem(32, 5)
+	if reg := mustRegister(t, newCoord(t, p, CoordinatorConfig{}), "w"); reg.Tuning != "" {
+		t.Errorf("default coordinator granted %q, want empty (decide locally)", reg.Tuning)
+	}
+	others := grantsExcept(key, func(k string) core.Tuning { return grantCases[k].grant })
+	c := newCoord(t, p, CoordinatorConfig{Tuning: others})
+	reg := mustRegister(t, c, "w")
+	if got, err := core.ParseTuning(reg.Tuning); err != nil || got != others {
+		t.Errorf("grant %q (%v), want exactly %q", reg.Tuning, err, others)
+	}
+	eng, err := buildWorkerEngine(t, c, p, reg, "w", core.Tuning{})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("buildEngine: %v", err)
 	}
-	if err := w4.buildEngine(p, reg); err == nil {
-		w4.engine.Finish(true)
-		t.Error("buildEngine accepted a corrupt local diversity spec")
-	} else if !Permanent(err) || !strings.Contains(err.Error(), "local") {
-		t.Errorf("corrupt local spec error = %v, want permanent mentioning 'local'", err)
+	if got := tc.read(eng); got != tc.dflt {
+		t.Errorf("worker resolved %q with nothing set, want the default %q", got, tc.dflt)
 	}
 }
 
+func TestStorageGrantPropagatesToWorkerEngine(t *testing.T) { checkGrant(t, "storage") }
+func TestStorageGrantOmittedOnAuto(t *testing.T)            { checkGrantOmitted(t, "storage") }
+func TestBackendGrantPropagatesToWorkerEngine(t *testing.T) { checkGrant(t, "backend") }
+func TestBackendGrantOmittedOnAuto(t *testing.T)            { checkGrantOmitted(t, "backend") }
+func TestDiversityGrantOmittedByDefault(t *testing.T)       { checkGrantOmitted(t, "diversity") }
+
+func TestDiversityGrantPropagatesToWorkerEngine(t *testing.T) {
+	checkGrant(t, "diversity")
+	// The coordinator's own authoritative pool runs the granted
+	// admission policy too.
+	c := newCoord(t, testProblem(16, 8), CoordinatorConfig{Tuning: grantCases["diversity"].grant})
+	if c.cfg.GA.Policy == nil {
+		t.Error("coordinator pool has no admission policy despite radius > 0")
+	}
+}
+
+// TestDiversityGrantRejectedAtCoordinator: NewCoordinator and NewWorker
+// reject a bad value of every Tuning field, so a bad setting fails at
+// construction rather than at registration.
 func TestDiversityGrantRejectedAtCoordinator(t *testing.T) {
-	_, err := NewCoordinator(testProblem(16, 9), CoordinatorConfig{
-		MaxDuration: time.Minute,
-		Diversity:   "radius=banana",
-	})
-	if err == nil {
-		t.Fatal("NewCoordinator accepted a malformed diversity grant")
-	}
-}
-
-func TestDiversityGrantOmittedByDefault(t *testing.T) {
-	c := newCoord(t, testProblem(32, 10), CoordinatorConfig{})
-	if reg := mustRegister(t, c, "w"); reg.Diversity != "" {
-		t.Errorf("default coordinator granted diversity %q, want empty (decide locally)", reg.Diversity)
+	for key, tc := range grantCases {
+		if _, err := NewCoordinator(testProblem(16, 9), CoordinatorConfig{MaxDuration: time.Minute, Tuning: tc.bad}); err == nil {
+			t.Errorf("NewCoordinator accepted a bad %s %+v", key, tc.bad)
+		}
+		if _, err := NewWorker(WorkerConfig{Transport: NewLocalTransport(nil), Tuning: tc.bad}); err == nil {
+			t.Errorf("NewWorker accepted a bad %s %+v", key, tc.bad)
+		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 
 	"abs/internal/bitvec"
 	"abs/internal/core"
-	"abs/internal/diversity"
 	"abs/internal/gpusim"
 	"abs/internal/qubo"
 	"abs/internal/retry"
@@ -43,25 +42,12 @@ type WorkerConfig struct {
 	// means 24 h.
 	MaxDuration time.Duration
 
-	// Storage pins the local engine representation. The default,
-	// core.StorageAuto, defers to the coordinator's registration grant
-	// when it names one and otherwise to the density heuristic; an
-	// explicit dense/sparse setting here always wins (a heterogeneous
-	// node may know better than the cluster-wide default).
-	Storage core.Storage
-
-	// Backend pins the local solver backend. The default,
-	// core.BackendAuto, defers to the coordinator's registration grant
-	// when it names one and otherwise to the straight default; an
-	// explicit backend here always wins.
-	Backend core.Backend
-
-	// Diversity pins the local DABS tuning as a diversity.ParseSpec
-	// string. Empty defers to the coordinator's registration grant
-	// when it carries one and otherwise to the defaults; an explicit
-	// spec here always wins (the literal "off" is how a node opts out
-	// locally against a cluster-wide grant).
-	Diversity string
+	// Tuning is the worker's own setting: each set field wins over the
+	// coordinator's registration grant, and each unset one takes the
+	// grant's value, then the engine default. A local radius=0 is how a
+	// node opts out of a cluster-wide admission policy. Validated by
+	// NewWorker.
+	Tuning core.Tuning
 
 	// Reconnect paces re-registration after losing the coordinator.
 	// The zero value means {Base: 100ms, Factor: 2, Max: 5s,
@@ -103,6 +89,9 @@ func (c WorkerConfig) normalize() (WorkerConfig, error) {
 	}
 	if c.MaxDuration == 0 {
 		c.MaxDuration = 24 * time.Hour
+	}
+	if err := c.Tuning.Validate(); err != nil {
+		return c, err
 	}
 	if c.Reconnect.Base == 0 {
 		c.Reconnect = retry.Backoff{Base: 100 * time.Millisecond, Factor: 2, Max: 5 * time.Second, Jitter: 0.25}
@@ -360,36 +349,11 @@ func (w *Worker) buildEngine(p *qubo.Problem, reg *RegisterResponse) error {
 	opt.NumGPUs = w.cfg.Devices
 	opt.Seed = reg.Seed
 	opt.TargetEnergy = reg.TargetEnergy
-	opt.Storage = w.cfg.Storage
-	if opt.Storage == core.StorageAuto && reg.Storage != "" {
-		s, err := core.ParseStorage(reg.Storage)
-		if err != nil {
-			return MarkPermanent(fmt.Errorf("cluster: coordinator sent a bad storage grant: %w", err))
-		}
-		opt.Storage = s
+	grant, err := core.ParseTuning(reg.Tuning)
+	if err != nil {
+		return MarkPermanent(fmt.Errorf("cluster: coordinator sent a bad tuning grant: %w", err))
 	}
-	opt.Backend = w.cfg.Backend
-	if opt.Backend == core.BackendAuto && reg.Backend != "" {
-		b, err := core.ParseBackend(reg.Backend)
-		if err != nil {
-			return MarkPermanent(fmt.Errorf("cluster: coordinator sent a bad backend grant: %w", err))
-		}
-		opt.Backend = b
-	}
-	divSpec := w.cfg.Diversity
-	if divSpec == "" {
-		divSpec = reg.Diversity
-	}
-	if divSpec != "" {
-		d, err := diversity.ParseSpec(divSpec)
-		if err != nil {
-			if w.cfg.Diversity != "" {
-				return MarkPermanent(fmt.Errorf("cluster: bad local diversity spec: %w", err))
-			}
-			return MarkPermanent(fmt.Errorf("cluster: coordinator sent a bad diversity grant: %w", err))
-		}
-		opt.Diversity = d
-	}
+	opt.Tuning = w.cfg.Tuning.Over(grant)
 	opt.MaxDuration = w.cfg.MaxDuration
 	opt.Telemetry = w.cfg.Registry
 	opt.Tracer = w.cfg.Tracer

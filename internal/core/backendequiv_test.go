@@ -61,7 +61,7 @@ func TestAllBackendsReachExactOptimum(t *testing.T) {
 					t.Fatal(err)
 				}
 				o := tinyOptions()
-				o.Backend = Backend(name)
+				o.Tuning.Backend = Backend(name)
 				o.TargetEnergy = &optE
 				o.MaxDuration = 20 * time.Second // safety net; target expected fast
 				res, err := Solve(p, o)
@@ -94,7 +94,7 @@ func TestRaceNeverRegressesWarmStart(t *testing.T) {
 	p := randomProblem(96, 84)
 
 	o := tinyOptions()
-	o.Backend = BackendStraight
+	o.Tuning.Backend = BackendStraight
 	o.MaxDuration = 300 * time.Millisecond
 	base, err := Solve(p, o)
 	if err != nil {
@@ -105,7 +105,7 @@ func TestRaceNeverRegressesWarmStart(t *testing.T) {
 	}
 
 	o = tinyOptions()
-	o.Backend = BackendRace
+	o.Tuning.Backend = BackendRace
 	o.MaxDuration = 300 * time.Millisecond
 	o.WarmStarts = append(o.WarmStarts, base.Best)
 	res, err := Solve(p, o)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -282,7 +284,7 @@ func TestSolveForcedStorageAgreesOnQuality(t *testing.T) {
 	}
 	for _, st := range []Storage{StorageDense, StorageSparse} {
 		o := tinyOptions()
-		o.Storage = st
+		o.Tuning.Storage = st
 		o.TargetEnergy = &optE
 		o.MaxDuration = 10 * time.Second
 		res, err := Solve(p, o)
@@ -302,28 +304,49 @@ func TestStorageString(t *testing.T) {
 	}
 }
 
+// progressLines is an Options.ProgressWriter that keeps every line.
+type progressLines struct {
+	mu    sync.Mutex
+	lines []string
+}
+
+func (w *progressLines) Write(b []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.lines = append(w.lines, string(b))
+	return len(b), nil
+}
+
+// TestSolveProgressCallback checks the progress sink, ProgressWriter:
+// every line parses as Progress.String, and the flip counter never goes
+// backwards.
 func TestSolveProgressCallback(t *testing.T) {
 	p := randomProblem(64, 50)
 	o := tinyOptions()
 	o.MaxDuration = 300 * time.Millisecond
 	o.ProgressEvery = 50 * time.Millisecond
-	var calls int
-	var lastFlips uint64
-	o.Progress = func(pr Progress) {
-		calls++
-		if pr.Flips < lastFlips {
-			t.Error("flip counter went backwards")
-		}
-		lastFlips = pr.Flips
-		if pr.Elapsed <= 0 {
-			t.Error("elapsed not set")
-		}
-	}
+	var w progressLines
+	o.ProgressWriter = &w
 	if _, err := Solve(p, o); err != nil {
 		t.Fatal(err)
 	}
-	if calls < 1 { // full-suite CPU contention can starve the cadence; one call must still fire
-		t.Errorf("progress never called in 300ms at 50ms cadence (calls=%d)", calls)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if len(w.lines) < 1 { // full-suite CPU contention can starve the cadence; one line must still land
+		t.Fatalf("no progress line in 300ms at 50ms cadence")
+	}
+	var lastFlips uint64
+	for _, line := range w.lines {
+		var elapsed float64
+		var best string
+		var flips uint64
+		if _, err := fmt.Sscanf(line, "[%fs] best %s %d flips,", &elapsed, &best, &flips); err != nil {
+			t.Fatalf("progress line %q: %v", line, err)
+		}
+		if flips < lastFlips {
+			t.Errorf("flip counter went backwards: %d after %d", flips, lastFlips)
+		}
+		lastFlips = flips
 	}
 }
 

@@ -19,7 +19,7 @@ func TestSolveWithDiversityPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := tinyOptions()
-	o.Diversity = diversity.Spec{Radius: 2}
+	o.Tuning.Diversity = diversity.Spec{Radius: 2}
 	o.TargetEnergy = &optE
 	o.MaxDuration = 20 * time.Second // safety net; target expected fast
 	res, err := Solve(p, o)
@@ -40,7 +40,7 @@ func TestSolveRejectsBadDiversitySpec(t *testing.T) {
 	p := randomProblem(16, 92)
 	o := tinyOptions()
 	o.MaxFlips = 100
-	o.Diversity = diversity.Spec{Radius: -4}
+	o.Tuning.Diversity = diversity.Spec{Radius: -4}
 	if _, err := Solve(p, o); err == nil {
 		t.Fatal("Solve accepted a negative diversity radius")
 	}
@@ -53,7 +53,7 @@ func TestSolveRejectsBadDiversitySpec(t *testing.T) {
 func TestRaceStaticFloorKeepsStaticSplit(t *testing.T) {
 	p := randomProblem(48, 93)
 	o := tinyOptions()
-	o.Backend = BackendRace
+	o.Tuning.Backend = BackendRace
 	o.MaxDuration = 200 * time.Millisecond
 	res, err := Solve(p, o)
 	if err != nil {
@@ -69,8 +69,8 @@ func TestRaceStaticFloorKeepsStaticSplit(t *testing.T) {
 func TestRaceAdaptiveReportsUnits(t *testing.T) {
 	p := randomProblem(48, 94)
 	o := tinyOptions()
-	o.Backend = BackendRace
-	o.Diversity = diversity.Spec{Radius: 2}
+	o.Tuning.Backend = BackendRace
+	o.Tuning.Diversity = diversity.Spec{Radius: 2}
 	o.MaxDuration = 200 * time.Millisecond
 	res, err := Solve(p, o)
 	if err != nil {
@@ -124,7 +124,7 @@ func checkRaceSplit(t *testing.T, res *Result) {
 func TestNonRaceBackendUnitsAreWholeFleet(t *testing.T) {
 	p := randomProblem(32, 95)
 	o := tinyOptions()
-	o.Backend = BackendStraight
+	o.Tuning.Backend = BackendStraight
 	o.MaxDuration = 100 * time.Millisecond
 	res, err := Solve(p, o)
 	if err != nil {

@@ -117,8 +117,8 @@ func NewEngine(p *qubo.Problem, opt Options) (*Engine, error) {
 	// publications all pass through the same rule. Radius 0 (the
 	// default) leaves the paper's plain elite pool untouched.
 	var divPolicy *diversity.Policy
-	if opt.Diversity.Radius > 0 {
-		divPolicy = diversity.NewPolicy(opt.Diversity)
+	if opt.Tuning.Diversity.Radius > 0 {
+		divPolicy = diversity.NewPolicy(opt.Tuning.Diversity)
 		opt.GA.Policy = divPolicy
 	}
 
@@ -132,7 +132,7 @@ func NewEngine(p *qubo.Problem, opt Options) (*Engine, error) {
 	// adjacency engine wins on low-density instances (G-set graphs).
 	// The auto threshold lives in qubo (ChooseRep) so every layer —
 	// serial engines, kernel blocks, cluster workers — agrees on it.
-	storage := opt.Storage
+	storage := opt.Tuning.Storage
 	if storage == StorageAuto {
 		if qubo.ChooseRep(p.Density()) == qubo.RepSparse {
 			storage = StorageSparse
@@ -160,7 +160,7 @@ func NewEngine(p *qubo.Problem, opt Options) (*Engine, error) {
 	// over that state representation. BackendAuto resolves to straight
 	// (the paper's algorithm); normalize already rejected unknown
 	// names, so New failing here means a factory rejected the config.
-	backendName := opt.Backend
+	backendName := opt.Tuning.Backend
 	if backendName == BackendAuto {
 		backendName = BackendStraight
 	}
@@ -267,9 +267,10 @@ func NewEngine(p *qubo.Problem, opt Options) (*Engine, error) {
 			opt.SupervisorGrace, blocksPerDevice, metrics)
 	}
 	// The progress ticker is anchored to the engine start: each deadline
-	// is the previous deadline plus the interval, so callback work and
-	// host load delay a tick but never stretch the schedule.
-	e.emitProgress = opt.Progress != nil || opt.ProgressWriter != nil || metrics != nil
+	// is the previous deadline plus the interval, so a slow
+	// ProgressWriter and host load delay a tick but never stretch the
+	// schedule.
+	e.emitProgress = opt.ProgressWriter != nil || metrics != nil
 	e.nextProgress = e.start.Add(opt.ProgressEvery)
 	return e, nil
 }
@@ -442,9 +443,6 @@ func (e *Engine) Pump(now time.Time) {
 			e.metrics.progressTick(now, pr, e.host.Pool().Len())
 			if e.opt.ProgressWriter != nil {
 				fmt.Fprintln(e.opt.ProgressWriter, pr)
-			}
-			if e.opt.Progress != nil {
-				e.opt.Progress(pr)
 			}
 		}
 	}

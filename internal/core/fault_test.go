@@ -303,7 +303,7 @@ func TestSolveQuarantinesCorruptionOnSparseStorage(t *testing.T) {
 	plan.CorruptPublications(0.3)
 	reg := telemetry.NewRegistry()
 	o := faultOptions()
-	o.Storage = StorageSparse
+	o.Tuning.Storage = StorageSparse
 	o.Faults = plan
 	o.Telemetry = reg
 	o.MaxFlips = 300_000

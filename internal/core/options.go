@@ -16,19 +16,16 @@ package core
 import (
 	"fmt"
 	"io"
-	"strings"
 	"time"
 
-	"abs/internal/backend"
 	"abs/internal/bitvec"
-	"abs/internal/diversity"
 	"abs/internal/ga"
 	"abs/internal/gpusim"
 	"abs/internal/telemetry"
 )
 
-// Progress is the periodic run snapshot passed to Options.Progress and
-// rendered by Options.ProgressWriter.
+// Progress is the periodic run snapshot rendered by
+// Options.ProgressWriter and reported live by a serve job's status.
 type Progress struct {
 	// Elapsed is the time since launch.
 	Elapsed time.Duration
@@ -109,27 +106,16 @@ type Options struct {
 	// 100 µs.
 	PollInterval time.Duration
 
-	// Storage selects the search-engine representation; see the
-	// constants. StorageAuto picks sparse when the instance's
-	// off-diagonal density is below qubo.DefaultSparseDensityThreshold
-	// (30 %, chosen from BenchmarkFlipCrossover measurements), where
-	// the O(deg) flip decisively beats the dense O(n) kernel.
-	Storage Storage
-
-	// Backend selects the solver backend every search unit runs — the
-	// device-side algorithm behind the shared pool protocol. The zero
-	// value (BackendAuto) defers: a cluster worker takes the
-	// coordinator's registration grant, and an engine falls back to
-	// BackendStraight, the paper's algorithm. Validate rejects names
-	// with no registered factory with ErrUnknownBackend.
-	Backend Backend
-
-	// Diversity tunes the DABS pool admission policy (arXiv
-	// 2207.03069; see internal/diversity): Radius/Buckets/MinPerBucket
-	// configure the Hamming-distance admission rule. Radius 0 — the
-	// default — keeps the paper's plain elite pool; the zero value means
-	// diversity.DefaultSpec.
-	Diversity diversity.Spec
+	// Tuning picks the engine representation, the solver backend and
+	// the DABS pool admission spec (see Tuning). Unset fields resolve
+	// here: storage by density — sparse below
+	// qubo.DefaultSparseDensityThreshold (30 %, chosen from
+	// BenchmarkFlipCrossover measurements), where the O(deg) flip
+	// decisively beats the dense O(n) kernel — the straight backend
+	// (the paper's algorithm) and admission off (the paper's plain
+	// elite pool). Validate rejects unregistered backends with
+	// ErrUnknownBackend.
+	Tuning Tuning
 
 	// Warm starts: vectors inserted into the solution pool before the
 	// run, e.g. a 2-opt tour for a TSP instance. They enter with
@@ -138,13 +124,7 @@ type Options struct {
 	// the regions around them.
 	WarmStarts []*bitvec.Vector
 
-	// Progress, when non-nil, is called from the host loop every
-	// ProgressEvery (default 1 s) with a snapshot of the run. The
-	// callback runs on the host goroutine: keep it fast. It is kept as
-	// a thin adapter over the telemetry-driven progress path; new code
-	// wanting the standard line should set ProgressWriter, and code
-	// wanting machine-readable live state should scrape Telemetry.
-	Progress      func(Progress)
+	// ProgressEvery is the progress cadence; zero means 1 s.
 	ProgressEvery time.Duration
 
 	// ProgressWriter, when non-nil, receives the standard one-line
@@ -220,108 +200,6 @@ type Options struct {
 	SolutionBufferCap int
 }
 
-// Storage selects the incremental-engine representation used by the
-// search units.
-type Storage int
-
-const (
-	// StorageAuto chooses per instance by density.
-	StorageAuto Storage = iota
-	// StorageDense always uses the paper's dense kernel (O(n) flips,
-	// n evaluated solutions per flip).
-	StorageDense
-	// StorageSparse always uses the adjacency engine (O(deg) flips).
-	StorageSparse
-)
-
-func (s Storage) String() string {
-	switch s {
-	case StorageAuto:
-		return "auto"
-	case StorageDense:
-		return "dense"
-	case StorageSparse:
-		return "sparse"
-	default:
-		return fmt.Sprintf("Storage(%d)", int(s))
-	}
-}
-
-// ParseStorage parses "auto", "dense" or "sparse" (the String forms) —
-// the shared decoder for CLI -storage flags and the cluster protocol's
-// storage field.
-func ParseStorage(s string) (Storage, error) {
-	switch s {
-	case "", "auto":
-		return StorageAuto, nil
-	case "dense":
-		return StorageDense, nil
-	case "sparse":
-		return StorageSparse, nil
-	default:
-		return StorageAuto, fmt.Errorf("core: unknown storage %q (want auto, dense or sparse)", s)
-	}
-}
-
-// Backend names a registered solver backend (see internal/backend):
-// the per-block search program raced behind the shared ABS pool
-// protocol. The zero value (BackendAuto) defers the choice — a
-// cluster worker takes the coordinator's registration grant, and an
-// engine resolves it to BackendStraight, the paper's single-algorithm
-// behaviour.
-type Backend string
-
-const (
-	// BackendAuto defers the backend choice (grant, then straight).
-	BackendAuto Backend = ""
-	// BackendStraight is the paper's §3.2 program: straight search to
-	// the pool target, then bulk local search on the offset-window
-	// ladder.
-	BackendStraight Backend = "straight"
-	// BackendSB runs simulated bifurcation dynamics on float spins
-	// over the Ising form of the instance.
-	BackendSB Backend = "sb"
-	// BackendTabu runs diversified multi-start tabu search.
-	BackendTabu Backend = "tabu"
-	// BackendRace splits the fleet's units across straight, sb and
-	// tabu, racing the portfolio through the one shared pool.
-	BackendRace Backend = "race"
-)
-
-func (b Backend) String() string {
-	if b == BackendAuto {
-		return "auto"
-	}
-	return string(b)
-}
-
-// ErrUnknownBackend is the typed sentinel behind backend-validation
-// failures (ParseBackend, Options.Validate): the named backend has no
-// registered factory. Match with errors.Is.
-var ErrUnknownBackend = backend.ErrUnknown
-
-// ParseBackend parses a backend name ("auto" or the empty string for
-// BackendAuto, else a registered name) — the shared decoder for CLI
-// -backend flags, serve job specs and the cluster protocol's backend
-// grant. Unknown names fail with ErrUnknownBackend, listing what is
-// registered.
-func ParseBackend(s string) (Backend, error) {
-	switch s {
-	case "", "auto":
-		return BackendAuto, nil
-	}
-	if !backend.Known(s) {
-		return BackendAuto, fmt.Errorf("core: %w %q (registered: %s)",
-			ErrUnknownBackend, s, strings.Join(backend.Names(), ", "))
-	}
-	return Backend(s), nil
-}
-
-// Backends lists the registered solver backends with their one-line
-// descriptions, sorted by name — what GET /v1/backends and CLI usage
-// strings render.
-func Backends() []backend.Info { return backend.List() }
-
 // DefaultOptions returns options sized for solving on a CPU host: a
 // small virtual cluster (one device with a few SMs keeps per-flip
 // throughput high while preserving search diversity), automatic block
@@ -372,18 +250,10 @@ func (o Options) normalize(n int) (Options, error) {
 	if o.TargetEnergy == nil && o.MaxDuration == 0 && o.MaxFlips == 0 {
 		return o, fmt.Errorf("core: no stop condition set (TargetEnergy, MaxDuration or MaxFlips)")
 	}
-	b, err := ParseBackend(string(o.Backend))
-	if err != nil {
+	if err := o.Tuning.Validate(); err != nil {
 		return o, err
 	}
-	o.Backend = b
-	if o.Diversity == (diversity.Spec{}) {
-		o.Diversity = diversity.DefaultSpec()
-	}
-	o.Diversity, err = o.Diversity.Normalize()
-	if err != nil {
-		return o, err
-	}
+	o.Tuning.Diversity, _ = o.Tuning.Diversity.Normalize() // validated above
 	if o.BitsPerThread == 0 {
 		p, err := o.Device.BestBitsPerThread(n)
 		if err != nil {

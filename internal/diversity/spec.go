@@ -11,17 +11,12 @@
 // engine's GA pool); it depends only on ga and bitvec.
 package diversity
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-)
+import "fmt"
 
-// Spec bundles every diversity-control knob so one value can be
-// threaded through core.Options, the serve JobSpec, the cluster grant
-// and the shared -diversity flag. The zero value means "defaults"
-// (see DefaultSpec); ParseSpec starts from the defaults and overrides
-// only the keys named, so flag strings stay short.
+// Spec bundles every diversity-control knob; core.Tuning carries it
+// through options, serve jobs and cluster grants, and core.ParseTuning
+// reads its text keys (radius, buckets, min). The zero value means
+// "defaults" (see DefaultSpec).
 type Spec struct {
 	// Radius is the pool policy's Hamming near-duplicate radius: a
 	// candidate within Radius of any resident is admitted only when it
@@ -81,59 +76,4 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("diversity: min-per-bucket %d must be >= 0", s.MinPerBucket)
 	}
 	return nil
-}
-
-// String renders the spec in ParseSpec's key=value form; for every
-// valid spec, ParseSpec(s.String()) round-trips.
-func (s Spec) String() string {
-	return fmt.Sprintf("radius=%d,buckets=%d,min=%d", s.Radius, s.Buckets, s.MinPerBucket)
-}
-
-// ParseSpec parses a comma-separated key=value spec string, starting
-// from DefaultSpec and overriding only the named keys:
-//
-//	radius=8
-//	radius=16,buckets=12,min=2
-//
-// The empty string and the literal "off" both return DefaultSpec (no
-// admission policy); "off" differs only in being an explicit setting,
-// so a worker's local "off" wins over a coordinator's grant. Unknown
-// keys and malformed values are errors — a spec travels through flags
-// and cluster grants, where a typo silently ignored would be a silent
-// behaviour change.
-func ParseSpec(text string) (Spec, error) {
-	s := DefaultSpec()
-	text = strings.TrimSpace(text)
-	if text == "" || text == "off" {
-		return s, nil
-	}
-	for _, part := range strings.Split(text, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(part, "=")
-		if !ok {
-			return Spec{}, fmt.Errorf("diversity: bad spec element %q (want key=value)", part)
-		}
-		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		var err error
-		switch key {
-		case "radius":
-			s.Radius, err = strconv.Atoi(val)
-		case "buckets":
-			s.Buckets, err = strconv.Atoi(val)
-		case "min":
-			s.MinPerBucket, err = strconv.Atoi(val)
-		default:
-			return Spec{}, fmt.Errorf("diversity: unknown spec key %q (known: radius, buckets, min)", key)
-		}
-		if err != nil {
-			return Spec{}, fmt.Errorf("diversity: bad value for %q: %v", key, err)
-		}
-	}
-	if err := s.Validate(); err != nil {
-		return Spec{}, err
-	}
-	return s, nil
 }

@@ -1,98 +1,6 @@
 package diversity
 
-import (
-	"strings"
-	"testing"
-)
-
-func TestParseSpecEmptyIsDefault(t *testing.T) {
-	s, err := ParseSpec("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s != DefaultSpec() {
-		t.Fatalf("ParseSpec(\"\") = %+v, want DefaultSpec %+v", s, DefaultSpec())
-	}
-}
-
-func TestParseSpecOffIsStatic(t *testing.T) {
-	s, err := ParseSpec("off")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s != DefaultSpec() {
-		t.Fatalf("ParseSpec(\"off\") = %+v, want DefaultSpec %+v", s, DefaultSpec())
-	}
-	if s.Radius != 0 {
-		t.Fatalf("off radius %d should disable the admission policy", s.Radius)
-	}
-}
-
-func TestParseSpecOverridesOnlyNamedKeys(t *testing.T) {
-	s, err := ParseSpec("radius=16, min=2 ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := DefaultSpec()
-	if s.Radius != 16 || s.MinPerBucket != 2 {
-		t.Fatalf("overrides not applied: %+v", s)
-	}
-	if s.Buckets != d.Buckets {
-		t.Fatalf("unnamed keys drifted from defaults: %+v", s)
-	}
-}
-
-func TestParseSpecErrors(t *testing.T) {
-	for _, bad := range []string{
-		"radius",              // no '='
-		"radius=x",            // bad int
-		"buckets=many",        // bad int
-		"turbo=1",             // unknown key
-		"buckets=0",           // fails validation
-		"radius=-1",           // fails validation
-		"radius=8,min=-2",     // fails validation
-		"radius=8,,buckets=x", // bad value after empty element
-	} {
-		if _, err := ParseSpec(bad); err == nil {
-			t.Errorf("ParseSpec(%q): want error, got nil", bad)
-		}
-	}
-}
-
-// TestParseSpecRejectsRetiredKeys pins the removal of the
-// race allocator's keys: a spec that still names one is an error that
-// names the key, never a silent fall-back to the defaults.
-func TestParseSpecRejectsRetiredKeys(t *testing.T) {
-	for _, tc := range []struct{ spec, key string }{
-		{"floor=0.2", "floor"},
-		{"radius=2,window=3s", "window"},
-		{"interval=1s,radius=2", "interval"},
-	} {
-		_, err := ParseSpec(tc.spec)
-		if err == nil {
-			t.Errorf("ParseSpec(%q) accepted a retired key", tc.spec)
-			continue
-		}
-		if !strings.Contains(err.Error(), `"`+tc.key+`"`) {
-			t.Errorf("ParseSpec(%q) error %q does not name the key %q", tc.spec, err, tc.key)
-		}
-	}
-}
-
-func TestSpecStringRoundTrips(t *testing.T) {
-	for _, s := range []Spec{
-		DefaultSpec(),
-		{Radius: 16, Buckets: 12, MinPerBucket: 2},
-	} {
-		got, err := ParseSpec(s.String())
-		if err != nil {
-			t.Fatalf("round-trip %q: %v", s.String(), err)
-		}
-		if got != s {
-			t.Errorf("round-trip %q = %+v, want %+v", s.String(), got, s)
-		}
-	}
-}
+import "testing"
 
 func TestNormalizeFillsZeroFields(t *testing.T) {
 	s, err := Spec{Radius: 4}.Normalize()
@@ -108,12 +16,5 @@ func TestNormalizeFillsZeroFields(t *testing.T) {
 	}
 	if _, err := (Spec{Radius: -3}).Normalize(); err == nil {
 		t.Fatal("Normalize accepted a negative radius")
-	}
-}
-
-func TestParseSpecErrorNamesKnownKeys(t *testing.T) {
-	_, err := ParseSpec("radious=8")
-	if err == nil || !strings.Contains(err.Error(), "radius") {
-		t.Fatalf("unknown-key error should list known keys, got %v", err)
 	}
 }

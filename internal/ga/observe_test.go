@@ -28,10 +28,10 @@ func TestPoolObserver(t *testing.T) {
 	r := rng.New(7)
 
 	a, b, c := bitvec.Random(16, r), bitvec.Random(16, r), bitvec.Random(16, r)
-	p.Insert(a.Clone(), -10) // admitted, size 1
-	p.Insert(b, -5)          // admitted, size 2 (full)
-	p.Insert(a.Clone(), -10) // duplicate → rejected
-	p.Insert(c, -20)         // admitted, evicts -5
+	p.Insert(a.Clone(), -10)           // admitted, size 1
+	p.Insert(b, -5)                    // admitted, size 2 (full)
+	p.Insert(a.Clone(), -10)           // duplicate → rejected
+	p.Insert(c, -20)                   // admitted, evicts -5
 	p.Insert(bitvec.Random(16, r), -1) // worse than worst → rejected
 
 	if want := []int64{-10, -5, -20}; !equalInt64(rec.inserted, want) {

@@ -73,14 +73,11 @@ type jobRequest struct {
 	Seed         uint64 `json:"seed,omitempty"`
 	// MaxDevices caps the job's fair share of the fleet (0 = no cap).
 	MaxDevices int `json:"max_devices,omitempty"`
-	// Backend selects the solver backend by registered name; empty
-	// inherits the service default. Unknown names get a 400 listing the
-	// registered backends (see GET /v1/backends).
-	Backend string `json:"backend,omitempty"`
-	// Diversity tunes the job's DABS pool admission policy as a spec
-	// string ("radius=8", "off"); empty inherits the service default.
-	// Malformed specs and unknown keys get a 400 naming the key.
-	Diversity string `json:"diversity,omitempty"`
+	// Tuning is a core.ParseTuning string ("backend=race,radius=4");
+	// each key it leaves unset inherits the service default. An unknown
+	// key gets a 400 naming it, an unknown backend one listing the
+	// registry (see GET /v1/backends).
+	Tuning string `json:"tuning,omitempty"`
 }
 
 type randomSpec struct {
@@ -221,14 +218,18 @@ func (h *httpAPI) submit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "no problem given (problem or random)")
 		return
 	}
+	tuning, err := core.ParseTuning(req.Tuning)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "bad tuning: %v", err)
+		return
+	}
 	spec := JobSpec{
 		Name:         req.Name,
 		MaxFlips:     req.MaxFlips,
 		TargetEnergy: req.TargetEnergy,
 		Seed:         req.Seed,
 		MaxDevices:   req.MaxDevices,
-		Backend:      req.Backend,
-		Diversity:    req.Diversity,
+		Tuning:       tuning,
 	}
 	if req.Time != "" {
 		d, err := time.ParseDuration(req.Time)
@@ -266,7 +267,7 @@ type backendJSON struct {
 }
 
 // backends lists the registered solver backends — the valid values for
-// the submit body's "backend" field — with each backend's live unit
+// the submit body's "tuning" backend key — with each backend's live unit
 // count summed over the running jobs.
 func (h *httpAPI) backends(w http.ResponseWriter, r *http.Request) {
 	units := h.svc.BackendUnits()

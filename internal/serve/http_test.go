@@ -253,7 +253,9 @@ func TestHTTPBadRequests(t *testing.T) {
 		{"bad time", `{"random": {"n": 8}, "time": "yesterday"}`},
 		{"negative n", `{"random": {"n": -4}, "max_flips": 10}`},
 		{"unknown field", `{"random": {"n": 8}, "max_flips": 10, "frobnicate": 1}`},
-		{"unknown backend", `{"random": {"n": 8}, "max_flips": 10, "backend": "columnar"}`},
+		{"unknown backend", `{"random": {"n": 8}, "max_flips": 10, "tuning": "backend=columnar"}`},
+		{"unknown tuning key", `{"random": {"n": 8}, "max_flips": 10, "tuning": "turbo=1"}`},
+		{"pre-tuning backend field", `{"random": {"n": 8}, "max_flips": 10, "backend": "tabu"}`},
 	}
 	for _, tc := range cases {
 		if code, _ := postJob(t, ts, tc.body); code != http.StatusBadRequest {
@@ -297,18 +299,18 @@ func TestHTTPInlineProblem(t *testing.T) {
 // registered set, and that GET /v1/backends lists the registry.
 func TestHTTPBackendSelection(t *testing.T) {
 	ts, _ := newTestServer(t, testConfig(1))
-	code, j := postJob(t, ts, `{"random": {"n": 24, "seed": 3}, "time": "200ms", "backend": "tabu"}`)
+	code, j := postJob(t, ts, `{"random": {"n": 24, "seed": 3}, "time": "200ms", "tuning": "storage=sparse,backend=tabu"}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d", code)
 	}
 	final := waitJob(t, ts, j.ID, "completion", func(j jobJSON) bool { return j.State == StateDone })
-	if final.Result == nil || final.Result.Backend != "tabu" {
-		t.Fatalf("result backend = %+v, want tabu", final.Result)
+	if final.Result == nil || final.Result.Backend != "tabu" || final.Result.Storage != "sparse" {
+		t.Fatalf("result = %+v, want tabu on sparse storage", final.Result)
 	}
 
 	// The 400 body for an unknown backend names the registered set.
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
-		strings.NewReader(`{"random": {"n": 8}, "max_flips": 10, "backend": "columnar"}`))
+		strings.NewReader(`{"random": {"n": 8}, "max_flips": 10, "tuning": "backend=columnar"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +359,7 @@ func TestHTTPDiversitySpec(t *testing.T) {
 	ts, _ := newTestServer(t, testConfig(1))
 
 	// A valid spec rides the job spec end to end.
-	code, j := postJob(t, ts, `{"random": {"n": 24, "seed": 5}, "time": "150ms", "diversity": "radius=2"}`)
+	code, j := postJob(t, ts, `{"random": {"n": 24, "seed": 5}, "time": "150ms", "tuning": "radius=2"}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit with diversity: %d", code)
 	}
@@ -367,7 +369,7 @@ func TestHTTPDiversitySpec(t *testing.T) {
 	// at submit, not a later failure.
 	for spec, key := range map[string]string{"radius=banana": "radius", "radius=2,floor=0.2": "floor"} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
-			strings.NewReader(`{"random": {"n": 8}, "max_flips": 10, "diversity": "`+spec+`"}`))
+			strings.NewReader(`{"random": {"n": 8}, "max_flips": 10, "tuning": "`+spec+`"}`))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -384,7 +386,7 @@ func TestHTTPDiversitySpec(t *testing.T) {
 
 	// While a race job runs, /v1/backends exposes its unit split: every
 	// portfolio member carries units, and they sum over zero.
-	code, j = postJob(t, ts, `{"random": {"n": 32, "seed": 6}, "time": "5s", "backend": "race"}`)
+	code, j = postJob(t, ts, `{"random": {"n": 32, "seed": 6}, "time": "5s", "tuning": "backend=race"}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit race job: %d", code)
 	}

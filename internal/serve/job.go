@@ -52,17 +52,11 @@ type JobSpec struct {
 	// Seed overrides the default host seed when non-zero.
 	Seed uint64
 
-	// Backend selects the solver backend for this job by registered
-	// name ("straight", "sb", "tabu", "race", ...). Empty inherits the
-	// service's default options. Unknown names are rejected at submit
-	// time with core.ErrUnknownBackend.
-	Backend string
-
-	// Diversity tunes the job's DABS pool admission policy as a
-	// diversity.ParseSpec string ("radius=8", "radius=8,buckets=12",
-	// "off", ...). Empty inherits the service's default options;
-	// malformed specs and unknown keys are rejected at submit time.
-	Diversity string
+	// Tuning picks the job's storage, solver backend and DABS pool
+	// admission spec; each unset field inherits the service's default
+	// options. Submit rejects a tuning that fails Validate, an
+	// unregistered backend with core.ErrUnknownBackend.
+	Tuning core.Tuning
 
 	// MaxDevices caps how many fleet devices the scheduler may ever
 	// allocate to this job. Zero means no cap (the whole fleet);

@@ -44,9 +44,12 @@ type jobRecord struct {
 	TargetEnergy    *int64 `json:"target_energy,omitempty"`
 	Seed            uint64 `json:"seed,omitempty"`
 	MaxDevices      int    `json:"max_devices,omitempty"`
-	Backend         string `json:"backend,omitempty"`
-	Diversity       string `json:"diversity,omitempty"`
+	Tuning          string `json:"tuning,omitempty"` // core.Tuning text form
 	SubmittedUnixMS int64  `json:"submitted_unix_ms,omitempty"`
+	// Backend and Diversity are the pre-Tuning spec fields, read on
+	// restore (see tuning) and never written.
+	Backend   string `json:"backend,omitempty"`
+	Diversity string `json:"diversity,omitempty"`
 
 	// Done records.
 	State          string `json:"state,omitempty"`
@@ -76,10 +79,27 @@ func specRecord(j *Job) (jobRecord, error) {
 		TargetEnergy:    j.spec.TargetEnergy,
 		Seed:            j.spec.Seed,
 		MaxDevices:      j.spec.MaxDevices,
-		Backend:         j.spec.Backend,
-		Diversity:       j.spec.Diversity,
+		Tuning:          j.spec.Tuning.String(),
 		SubmittedUnixMS: j.submitted.UnixMilli(),
 	}, nil
+}
+
+// tuning parses a spec record's tuning. A record from before the
+// tuning field carries the backend and diversity fields instead; they
+// join the text form, with the old "off" literal read as radius=0.
+func (r *jobRecord) tuning() (core.Tuning, error) {
+	parts := []string{r.Tuning}
+	if r.Backend != "" {
+		parts = append(parts, "backend="+r.Backend)
+	}
+	switch d := strings.TrimSpace(r.Diversity); d {
+	case "":
+	case "off":
+		parts = append(parts, "radius=0")
+	default:
+		parts = append(parts, d)
+	}
+	return core.ParseTuning(strings.Join(parts, ","))
 }
 
 // doneRecord captures a settled job's terminal outcome. Call only after
@@ -161,9 +181,10 @@ type requeueJob struct {
 
 // loadJobs replays the jobs log into a restoredState. Records it cannot
 // make sense of degrade per job, not per log: a spec whose problem text
-// no longer parses becomes a failed settled job (the client learns what
-// happened instead of a 404); unknown record kinds are skipped for
-// forward compatibility.
+// or tuning no longer parses becomes a failed settled job (the client
+// learns what happened instead of a 404 or a silent re-run on the
+// service defaults); unknown record kinds are skipped for forward
+// compatibility.
 func loadJobs(st store.Store, retain int) (*restoredState, error) {
 	type entry struct {
 		spec *jobRecord
@@ -202,6 +223,7 @@ func loadJobs(st store.Store, retain int) (*restoredState, error) {
 			out.maxSeq = seq
 		}
 		e := byID[id]
+		tuning, terr := e.spec.tuning()
 		spec := JobSpec{
 			Name:         e.spec.Name,
 			MaxDuration:  time.Duration(e.spec.MaxDurationMS) * time.Millisecond,
@@ -209,8 +231,7 @@ func loadJobs(st store.Store, retain int) (*restoredState, error) {
 			TargetEnergy: e.spec.TargetEnergy,
 			Seed:         e.spec.Seed,
 			MaxDevices:   e.spec.MaxDevices,
-			Backend:      e.spec.Backend,
-			Diversity:    e.spec.Diversity,
+			Tuning:       tuning,
 		}
 		submitted := time.UnixMilli(e.spec.SubmittedUnixMS)
 		p, perr := qubo.ReadText(strings.NewReader(e.spec.Problem))
@@ -220,6 +241,9 @@ func loadJobs(st store.Store, retain int) (*restoredState, error) {
 		case perr != nil:
 			out.settled = append(out.settled, restoreFailed(id, spec, submitted,
 				fmt.Errorf("serve: restored problem for %s no longer parses: %w", id, perr)))
+		case terr != nil:
+			out.settled = append(out.settled, restoreFailed(id, spec, submitted,
+				fmt.Errorf("serve: restored tuning for %s no longer parses: %w", id, terr)))
 		default:
 			out.requeue = append(out.requeue, &requeueJob{id: id, spec: spec, problem: p, submitted: submitted})
 		}

@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"abs/internal/core"
+	"abs/internal/diversity"
 	"abs/internal/qubo"
 	"abs/internal/store"
 )
@@ -44,7 +46,7 @@ func TestRestartRetainsResultsAndRequeues(t *testing.T) {
 	// Its diversity spec must survive the restart with it.
 	p2 := testProblem(40, 2)
 	j2, err := s1.Submit(context.Background(), p2,
-		JobSpec{Name: "long", MaxDuration: time.Hour, Diversity: "radius=8"})
+		JobSpec{Name: "long", MaxDuration: time.Hour, Tuning: core.Tuning{Diversity: diversity.Spec{Radius: 8}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,10 +92,10 @@ func TestRestartRetainsResultsAndRequeues(t *testing.T) {
 		t.Fatalf("restarted service lost unfinished job %s", j2.ID())
 	}
 	waitFor(t, "restored job 2 running", func() bool { return r2.Status().State == StateRunning })
-	if got := r2.Spec(); got.Name != "long" || got.MaxDuration != time.Hour || got.Diversity != "radius=8" {
+	if got := r2.Spec(); got.Name != "long" || got.MaxDuration != time.Hour || got.Tuning.Diversity.Radius != 8 {
 		t.Errorf("restored spec = %+v, want the original", got)
 	}
-	if eng := r2.engine(); eng == nil || eng.Options().Diversity.Radius != 8 {
+	if eng := r2.engine(); eng == nil || eng.Options().Tuning.Diversity.Radius != 8 {
 		t.Error("restored job 2 does not run with its radius=8 diversity spec")
 	}
 
@@ -263,5 +265,65 @@ func TestRestoreDegradedRecords(t *testing.T) {
 	}
 	if st := j2.Status(); st.State != StateFailed || !strings.Contains(st.Error, "engine exploded") {
 		t.Errorf("restored failure = %s %q, want the recorded error", st.State, st.Error)
+	}
+}
+
+// TestRestoreLegacyTuningFields: a journal written before the tuning
+// field (separate backend and diversity fields, "off" for radius 0)
+// restores to the same Tuning the new build would journal, and a spec
+// that no longer parses settles as failed naming the key instead of
+// silently re-running on the service defaults.
+func TestRestoreLegacyTuningFields(t *testing.T) {
+	p := testProblem(32, 8)
+	var text strings.Builder
+	if err := qubo.WriteText(&text, p); err != nil {
+		t.Fatal(err)
+	}
+	mem := store.NewMem()
+	for _, rec := range []map[string]any{
+		{"kind": "spec", "id": "job-1", "problem": text.String(), "max_flips": 2000, "backend": "tabu", "diversity": "radius=8"},
+		{"kind": "spec", "id": "job-2", "problem": text.String(), "max_flips": 2000, "diversity": "off"},
+		{"kind": "spec", "id": "job-3", "problem": text.String(), "max_flips": 2000, "diversity": "radius=banana"},
+	} {
+		data, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mem.Append(jobsLog, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := New(storedConfig(1, mem))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	for id, want := range map[string]string{"job-1": "backend=tabu,radius=8", "job-2": "radius=0"} {
+		j, ok := s.Job(id)
+		if !ok {
+			t.Fatalf("legacy job %s not restored", id)
+		}
+		wantT, err := core.ParseTuning(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := j.Spec().Tuning; got != wantT {
+			t.Errorf("%s restored tuning %q, want %q", id, got, wantT)
+		}
+		res, err := j.Wait(context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if wantB := wantT.Over(core.Tuning{Backend: core.BackendStraight}).Backend; res.Backend != wantB {
+			t.Errorf("%s ran backend %q, want %q", id, res.Backend, wantB)
+		}
+	}
+	j3, ok := s.Job("job-3")
+	if !ok {
+		t.Fatal("corrupt-tuning job vanished")
+	}
+	if st := j3.Status(); st.State != StateFailed || !strings.Contains(st.Error, `"radius"`) {
+		t.Errorf("corrupt tuning restored as %s %q, want failed naming the key", st.State, st.Error)
 	}
 }

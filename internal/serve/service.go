@@ -35,7 +35,6 @@ import (
 
 	"abs/internal/bitvec"
 	"abs/internal/core"
-	"abs/internal/diversity"
 	"abs/internal/gpusim"
 	"abs/internal/qubo"
 	"abs/internal/store"
@@ -322,11 +321,6 @@ func (s *Service) Submit(ctx context.Context, p *qubo.Problem, spec JobSpec) (*J
 	if spec.MaxDevices < 0 {
 		return nil, fmt.Errorf("serve: MaxDevices must be non-negative, got %d", spec.MaxDevices)
 	}
-	if spec.Diversity != "" {
-		if _, err := diversity.ParseSpec(spec.Diversity); err != nil {
-			return nil, err
-		}
-	}
 	if s.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -383,17 +377,7 @@ func (s *Service) jobOptions(spec JobSpec) core.Options {
 	if spec.Seed != 0 {
 		opt.Seed = spec.Seed
 	}
-	if spec.Backend != "" {
-		opt.Backend = core.Backend(spec.Backend)
-	}
-	if spec.Diversity != "" {
-		// Submit rejected malformed specs; a corrupt persisted spec on
-		// the resubmit path falls back to the service defaults rather
-		// than losing the job.
-		if d, err := diversity.ParseSpec(spec.Diversity); err == nil {
-			opt.Diversity = d
-		}
-	}
+	opt.Tuning = spec.Tuning.Over(opt.Tuning)
 	if lim := s.cfg.MaxJobDuration; lim > 0 && (opt.MaxDuration == 0 || opt.MaxDuration > lim) {
 		opt.MaxDuration = lim
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"abs/internal/core"
+	"abs/internal/diversity"
 	"abs/internal/gpusim"
 	"abs/internal/qubo"
 	"abs/internal/rng"
@@ -380,7 +381,7 @@ func TestDiversityGaugeReadAtScrape(t *testing.T) {
 		}()
 	}
 	j, err := s.Submit(context.Background(), testProblem(48, 50),
-		JobSpec{MaxDuration: 30 * time.Second, Diversity: "radius=2"})
+		JobSpec{MaxDuration: 30 * time.Second, Tuning: core.Tuning{Diversity: diversity.Spec{Radius: 2}}})
 	if err != nil {
 		t.Fatal(err)
 	}

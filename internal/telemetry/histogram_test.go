@@ -16,7 +16,7 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 		bucket int
 	}{
 		{0, 0},
-		{1, 0},              // exactly on the first bound: le="1"
+		{1, 0}, // exactly on the first bound: le="1"
 		{math.Nextafter(1, 2), 1},
 		{10, 1},
 		{10.0001, 2},

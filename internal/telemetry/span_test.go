@@ -29,8 +29,8 @@ func TestParseTraceparentRejectsMalformed(t *testing.T) {
 		"",
 		"00-short-0000000000000000-01",
 		"00-" + strings.Repeat("g", 32) + "-" + strings.Repeat("0", 16) + "-01", // non-hex
-		strings.Repeat("0", 55),           // no dashes
-		"00-" + NewTraceID() + "-xx",      // truncated
+		strings.Repeat("0", 55),                          // no dashes
+		"00-" + NewTraceID() + "-xx",                     // truncated
 		"zz-" + NewTraceID() + "-" + NewSpanID() + "-01", // non-hex version
 	}
 	for _, s := range bad {

@@ -1,16 +1,13 @@
 package abs_test
 
 // This file lives outside package abs on purpose: it proves every type
-// the public surface hands out is nameable by an importer. Before the
-// re-exports, Options.Progress could only be fed an inferred closure —
-// writing the parameter type `abs.Progress` (or naming BlockStat,
-// Occupancy, Telemetry, …) did not compile because they resolved to
-// internal packages.
+// the public surface hands out is nameable by an importer. Without the
+// re-exports, naming `abs.Progress`, BlockStat, Occupancy, Telemetry, …
+// does not compile because they resolve to internal packages.
 
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,16 +18,8 @@ import (
 // TestReexportedTypesAreNameable exercises the re-exported field types
 // by name from an external package, on a real (tiny) run.
 func TestReexportedTypesAreNameable(t *testing.T) {
-	var snaps atomic.Int64
-	var lastProgress abs.Progress // the Options.Progress payload, by name
-
 	opt := abs.DefaultOptions()
 	opt.MaxDuration = 100 * time.Millisecond
-	opt.ProgressEvery = 10 * time.Millisecond
-	opt.Progress = func(p abs.Progress) {
-		lastProgress = p
-		snaps.Add(1)
-	}
 	opt.Telemetry = abs.NewTelemetry()
 	opt.Tracer = abs.NewTracer(1 << 10)
 	opt.Faults = abs.NewFaultPlan(1)
@@ -45,9 +34,6 @@ func TestReexportedTypesAreNameable(t *testing.T) {
 	var occ abs.Occupancy = res.Occupancy
 	if len(stats) == 0 || occ.ActiveBlocks == 0 {
 		t.Errorf("result lacks block stats (%d) or occupancy (%+v)", len(stats), occ)
-	}
-	if snaps.Load() == 0 || lastProgress.Flips == 0 {
-		t.Errorf("progress callback: %d snapshots, last flips %d", snaps.Load(), lastProgress.Flips)
 	}
 
 	// Telemetry plane types, by name. The abstelemetryoff build
@@ -94,6 +80,7 @@ func TestReexportedServiceSurface(t *testing.T) {
 	}
 
 	var st abs.JobStatus = j.Status()
+	var _ abs.Progress = st.Progress
 	var state abs.JobState = st.State
 	if state != abs.JobQueued && state != abs.JobRunning {
 		t.Errorf("fresh job state = %s", state)
@@ -239,32 +226,35 @@ func TestReexportedDurabilityAndChaosSurface(t *testing.T) {
 	}
 }
 
-// TestReexportedDiversitySurface checks the DABS names: the spec type,
-// its parser and the default constructor, driven through a real
+// TestReexportedDiversitySurface checks the tuning names: the Tuning
+// type, its parser and the spec type inside it, driven through a real
 // diversified race run whose BackendStats expose the unit split.
 func TestReexportedDiversitySurface(t *testing.T) {
-	var spec abs.DiversitySpec = abs.DefaultDiversitySpec()
-	if spec.Buckets == 0 {
-		t.Fatal("default diversity spec has no buckets")
-	}
-	if off, err := abs.ParseDiversitySpec("off"); err != nil || off.Radius != 0 {
-		t.Errorf(`ParseDiversitySpec("off") = %+v, %v; want radius 0`, off, err)
-	}
-	parsed, err := abs.ParseDiversitySpec("radius=2")
+	off, err := abs.ParseTuning("radius=0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if parsed.Radius != 2 {
-		t.Fatalf("ParseDiversitySpec = %+v", parsed)
+	var spec abs.DiversitySpec = off.Diversity
+	if spec.Radius != 0 || spec.Buckets == 0 {
+		t.Errorf(`ParseTuning("radius=0") = %+v; want radius 0 with default buckets`, spec)
 	}
-	if _, err := abs.ParseDiversitySpec("turbo=1"); err == nil {
-		t.Error("ParseDiversitySpec accepted an unknown key")
+	var tuning abs.Tuning
+	if tuning, err = abs.ParseTuning("backend=race,radius=2"); err != nil {
+		t.Fatal(err)
+	}
+	if tuning.Backend != abs.BackendRace || tuning.Diversity.Radius != 2 {
+		t.Fatalf("ParseTuning = %+v", tuning)
+	}
+	if _, err := abs.ParseTuning("turbo=1"); err == nil {
+		t.Error("ParseTuning accepted an unknown key")
+	}
+	if _, err := abs.ParseTuning("backend=columnar"); !errors.Is(err, abs.ErrUnknownBackend) {
+		t.Errorf("unknown backend error %v does not match ErrUnknownBackend", err)
 	}
 
 	opt := abs.DefaultOptions()
 	opt.MaxDuration = 100 * time.Millisecond
-	opt.Backend = abs.BackendRace
-	opt.Diversity = parsed
+	opt.Tuning = tuning
 	res, err := abs.SolveContext(context.Background(), abs.RandomProblem(32, 11), opt)
 	if err != nil {
 		t.Fatal(err)

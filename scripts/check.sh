@@ -1,6 +1,7 @@
 #!/bin/sh
-# Standard development gate: vet + build + full test suite under the
-# race detector. Run from anywhere; exits non-zero on first failure.
+# Standard development gate: gofmt + vet + build + full test suite
+# under the race detector. Run from anywhere; exits non-zero on first
+# failure.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -11,6 +12,14 @@ if ! grep -q '^module abs$' go.mod 2>/dev/null; then
 	echo "$(basename "$0"): must run from the abs repository root (go.mod with 'module abs' not found in $(pwd))" >&2
 	echo "$(basename "$0"): invoke as scripts/$(basename "$0") from the checkout root" >&2
 	exit 2
+fi
+
+echo "== gofmt =="
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "gofmt: these files need formatting (gofmt -w):" >&2
+	echo "$unformatted" >&2
+	exit 1
 fi
 
 echo "== go vet =="

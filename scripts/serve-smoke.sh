@@ -4,8 +4,8 @@
 # then assert the operator surface end to end —
 #   * GET /v1/backends lists every registered backend (straight, sb,
 #     tabu, race);
-#   * a quick job that names "backend": "race" runs to done and reports
-#     backend "race" in its result;
+#   * a quick job whose "tuning" names backend=race runs to done and
+#     reports backend "race" in its result;
 #   * a bogus backend name is a 400 whose body lists the registry;
 #   * /metrics carries abs_build_info (the ldflags stamp), the uptime
 #     gauge, native histogram _bucket series and the per-backend
@@ -70,7 +70,7 @@ $GO build -ldflags "-X abs/internal/telemetry.version=$VERSION -X abs/internal/t
 	-o "$TMP/abs-serve" ./cmd/abs-serve
 
 # radius 2 turns the Hamming admission policy on for every job.
-"$TMP/abs-serve" -addr 127.0.0.1:0 -gpus 2 -sms 2 -backend race -diversity radius=2 \
+"$TMP/abs-serve" -addr 127.0.0.1:0 -gpus 2 -sms 2 -tuning backend=race,radius=2 \
 	>"$TMP/serve.log" 2>&1 &
 SRV_PID=$!
 
@@ -97,7 +97,7 @@ echo "serve-smoke: /v1/backends lists the registry"
 
 # One quick job pinned to the race meta-backend, then wait for it to
 # settle.
-ID=$(submit '{"random": {"n": 32, "seed": 7}, "max_flips": 200000, "backend": "race", "name": "serve-smoke"}')
+ID=$(submit '{"random": {"n": 32, "seed": 7}, "max_flips": 200000, "tuning": "backend=race", "name": "serve-smoke"}')
 STATE=
 i=0
 while [ $i -lt 150 ]; do
@@ -115,7 +115,7 @@ echo "serve-smoke: job $ID done on the race backend"
 
 # An unknown backend is a 400 that lists the registry.
 CODE=$(curl -s -o "$TMP/bad.json" -w '%{http_code}' -X POST "http://$BASE/v1/jobs" \
-	-d '{"random": {"n": 32, "seed": 7}, "max_flips": 1000, "backend": "columnar"}')
+	-d '{"random": {"n": 32, "seed": 7}, "max_flips": 1000, "tuning": "backend=columnar"}')
 [ "$CODE" = 400 ] || fail "unknown backend returned HTTP $CODE, want 400"
 for want in straight sb tabu race; do
 	grep -q "$want" "$TMP/bad.json" ||
@@ -182,7 +182,7 @@ fi
 
 # A longer race job: scrape while it runs until the pool shows spread
 # and every portfolio member holds units (or time out at ~15s).
-ID=$(submit '{"random": {"n": 64, "seed": 7}, "time": "20s", "backend": "race", "name": "serve-smoke-diversity"}')
+ID=$(submit '{"random": {"n": 64, "seed": 7}, "time": "20s", "tuning": "backend=race", "name": "serve-smoke-diversity"}')
 echo "serve-smoke: job $ID running"
 BUCKETS_OK=
 SPLIT_OK=
